@@ -17,10 +17,10 @@ import numpy as np
 
 from .. import functionals as fn
 from .. import metrics as mt
-from ..errors import ConfigError, PreconditionError
+from ..errors import CmclabError, ConfigError, DomainError
 from ..geometry import build_geometry
 from ..solver import solve_cmc, trace_foliation
-from ..sphere import SphereGraph, corpus_graph
+from ..sphere import SphereGraph, corpus_graph, lm_index, n_coeffs
 from .config import ExperimentConfig
 
 SIXTEEN_PI = 16.0 * math.pi
@@ -46,6 +46,11 @@ SCAN_COLUMNS = (
     "solve_converged", "solve_iterations", "solve_residual",
     "stability_eigenvalue", "stable",
 )
+
+# audit and solve cells of a row that is flagged or cannot be evaluated
+_BLANK_AUDIT = tuple(False if key == "gamma_defined" else float("nan")
+                     for key in AUDIT_COLUMNS)
+_BLANK_SOLVE = (False, 0, float("nan"), float("nan"), False)
 
 EXPAND_COLUMNS = (
     "l", "m", "skipped", "qform", "alpha", "remainder_order",
@@ -150,9 +155,30 @@ def _scan_surface(config: ExperimentConfig, row: int, lam: float, xi) -> SphereG
         return corpus_graph(seed=(config["seed"], row), L=config["grid.L"],
                             l_band=(2, 4), c1_target=pull, scale=lam,
                             center=center)
-    from ..sphere import n_coeffs
     return SphereGraph(center, lam, config["grid.L"],
                        np.zeros(n_coeffs(config["grid.L"])))
+
+
+def _scan_cells(config: ExperimentConfig, model, grid, surface: SphereGraph,
+                lam: float, flagged: bool) -> tuple:
+    """(report, r0_H, lambda2_flux, audit, solve) cells of an evaluable row."""
+    cache = build_geometry(surface, model, grid)
+    report = fn.build_report(cache)
+    report_vals = [getattr(report, name) for name in fn.FunctionalReport.FIELDS]
+    audit_vals = _BLANK_AUDIT
+    solve_vals = _BLANK_SOLVE
+    if not flagged:
+        ledger = fn.big_inequality_audit(cache, model, config["scan.tau"],
+                                         config["scan.delta"])
+        audit_vals = tuple(ledger[key] for key in AUDIT_COLUMNS)
+        if config["scan.solve"]:
+            solved = solve_cmc(surface, model, report.H_mean,
+                               config.solver_options())
+            solve_vals = (solved.converged, solved.iterations,
+                          solved.final_residual,
+                          solved.stability_eigenvalue, solved.stable)
+    return (report_vals, report.r0 * report.H_mean, lam**2 * report.flux,
+            audit_vals, solve_vals)
 
 
 def _scan_row(task) -> tuple:
@@ -162,45 +188,36 @@ def _scan_row(task) -> tuple:
     grid = _WORKER["grid"]
     surface = _scan_surface(config, row, lam, xi)
     xi_norm = float(np.linalg.norm(xi))
-    # flag from chart geometry alone: the metric cannot even be evaluated
-    # on surfaces that dip into the unit ball
+    # flag from chart geometry alone: the metric cannot even be evaluated on
+    # surfaces that reach into the unit ball or the model's |x| <= m/2 core
     r0 = surface.r0()
+    domain_radius = max(1.0, 0.5 * model.mass)
     flagged = False
     reason = "none"
     if surface.encloses_origin():
         flagged, reason = True, "enclosing"
     elif r0 <= 2.0:
         flagged, reason = True, "inside_B2"
+    elif r0 <= domain_radius:
+        flagged, reason = True, "domain"
     nan = float("nan")
     report_vals = [nan] * len(fn.FunctionalReport.FIELDS)
     # the chart distance is known even when the metric report is not
     report_vals[fn.FunctionalReport.FIELDS.index("r0")] = r0
-    r0_H = nan
-    lambda2_flux = nan
-    audit_vals = [False if key == "gamma_defined" else nan
-                  for key in AUDIT_COLUMNS]
-    solve_vals = (False, 0, nan, nan, False)
-    if r0 > 1.0:
-        cache = build_geometry(surface, model, grid)
-        report = fn.build_report(cache)
-        report_vals = [getattr(report, name)
-                       for name in fn.FunctionalReport.FIELDS]
-        r0_H = report.r0 * report.H_mean
-        lambda2_flux = lam**2 * report.flux
-        if not flagged:
-            ledger = fn.big_inequality_audit(cache, model, config["scan.tau"],
-                                             config["scan.delta"])
-            audit_vals = [ledger[key] for key in AUDIT_COLUMNS]
-            if config["scan.solve"]:
-                solved = solve_cmc(surface, model, report.H_mean,
-                                   config.solver_options())
-                solve_vals = (solved.converged, solved.iterations,
-                              solved.final_residual,
-                              solved.stability_eigenvalue, solved.stable)
+    cells = (report_vals, nan, nan, _BLANK_AUDIT, _BLANK_SOLVE)
+    if r0 > domain_radius:
+        # one failing row is labelled and left blank instead of ending the scan
+        try:
+            cells = _scan_cells(config, model, grid, surface, lam, flagged)
+        except DomainError:
+            flagged, reason = True, "domain"
+        except CmclabError:
+            flagged, reason = True, "geometry"
+    report_vals, r0_H, lambda2_flux, audit_vals, solve_vals = cells
     return (
         (row, lam, xi[0], xi[1], xi[2], xi_norm, flagged, reason,
          r0_H, lambda2_flux)
-        + tuple(report_vals) + tuple(audit_vals) + solve_vals
+        + tuple(report_vals) + audit_vals + solve_vals
     )
 
 
@@ -250,7 +267,6 @@ def run_expand(config: ExperimentConfig, out_dir: str) -> tuple[int, list[str]]:
             messages.append(f"mode ({l},{m}) skipped: zero quadratic form")
             continue
         alpha, order = fn.taylor_prefactor_fit((l, m), epsilons, grid=grid)
-        from ..sphere import lm_index, n_coeffs
         L = max(l, 2)
         coeffs = np.zeros(n_coeffs(L))
         coeffs[lm_index(l, m)] = 1.0

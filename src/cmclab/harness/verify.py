@@ -19,7 +19,8 @@ from ..geometry import (area_element_comparison_residual, build_geometry,
 from ..solver import (CmcOptions, round_seed_radius, solve_cmc,
                       stability_spectrum)
 from ..sphere import (QuadratureGrid, SphereGraph, analyze, corpus_graph,
-                      lm_index, moment_normalize, n_coeffs, synthesize)
+                      degree_of_index, lm_index, moment_normalize, n_coeffs,
+                      synthesize)
 from .config import ExperimentConfig
 
 FOUR_PI = 4.0 * math.pi
@@ -138,7 +139,6 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
         c = np.zeros(n_coeffs(8))
         c[4:] = rloc.standard_normal(n_coeffs(8) - 4)
         if mu is None:
-            from ..sphere import degree_of_index
             mu = degree_of_index(8).astype(float)
             mu = mu * (mu + 1.0)
         q = 2.0 * c[0] ** 2 - 2.0 * np.sum(c**2) + np.sum(mu * c**2)

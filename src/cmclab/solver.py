@@ -113,8 +113,9 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
     The residual is the coefficient vector of H - H_target; its degree-0 row
     matches the mean of H to the target (fixing the scale degeneracy) while
     the higher rows drive the shape.  Damped steps use residual backtracking;
-    divergence, the iteration cap, and mid-iteration embedding violations all
-    produce a non-converged report rather than an exception.
+    divergence, the iteration cap, mid-iteration embedding violations and an
+    initial surface the metric cannot be evaluated on all produce a
+    non-converged report rather than an exception.
     """
     opts = opts or CmcOptions()
     if H_target <= 0.0:
@@ -138,7 +139,13 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         return H, jets
 
     c = initial.coeffs.copy()
-    H, jets = evaluate(c)
+    try:
+        H, jets = evaluate(c)
+    except (DomainError, GeometryError) as exc:
+        return SolveReport(converged=False, iterations=0,
+                           final_residual=float("nan"), surface=initial,
+                           H_target=H_target,
+                           message=f"initial surface cannot be evaluated: {exc}")
     res = H - H_target
     F = A @ res
     norm = float(np.linalg.norm(F))

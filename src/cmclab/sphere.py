@@ -13,6 +13,7 @@ Coefficient layout is flat with index l*l + l + m for m in [-l, l].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -163,29 +164,74 @@ class QuadratureGrid:
         return self._cache[key]
 
 
+@functools.lru_cache(maxsize=None)
+def _recurrence(L: int):
+    """Coefficients of the Legendre recurrence up to degree L, built once.
+
+    Returns (diag, sub, rows): ``diag[m-1]`` and ``sub[m]`` step the diagonal
+    P[m, m] and the first off-diagonal P[m+1, m]; ``rows[l-2]`` holds the
+    (a, b) column vectors of the three-term step to degree l over the orders
+    m < l - 1.
+    """
+    diag = np.array([-math.sqrt((2.0 * m + 1.0) / (2.0 * m))
+                     for m in range(1, L + 1)])
+    sub = np.array([math.sqrt(2.0 * m + 3.0) for m in range(L)])
+    rows = []
+    for l in range(2, L + 1):
+        a = [math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m)) for m in range(l - 1)]
+        b = [math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+             for m in range(l - 1)]
+        rows.append((np.array(a)[:, None], np.array(b)[:, None]))
+    return diag, sub, rows
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_layout(L: int):
+    """Flat indices of the Legendre table entries, built once per L.
+
+    Returns (zonal, ls, ms, cos_idx, sin_idx): ``zonal[l]`` is the index of
+    (l, 0); the pairs (ls, ms) run over 1 <= m <= l, and ``cos_idx`` and
+    ``sin_idx`` are the indices of (l, m) and (l, -m).
+    """
+    degrees = np.arange(L + 1)
+    ls, ms = np.tril_indices(L)
+    ls, ms = ls + 1, ms + 1
+    return (degrees * degrees + degrees, ls, ms, ls * ls + ls + ms,
+            ls * ls + ls - ms)
+
+
+def _legendre(L: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """Orthonormalized associated Legendre stack P[l, m], shape (L+1, L+1, npts).
+
+    P[l, m] is the colatitude factor of the degree-l order-m harmonic (m >= 0,
+    Condon-Shortley phase folded in); entries with m > l are zero.  The
+    diagonal is a running product, then each degree is one three-term step
+    over all orders at once.
+    """
+    diag, sub, rows = _recurrence(L)
+    P = np.zeros((L + 1, L + 1, ct.shape[0]))
+    d = np.arange(L + 1)
+    steps = np.empty((L + 1, ct.shape[0]))
+    steps[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    steps[1:] = diag[:, None] * st
+    P[d, d] = np.cumprod(steps, axis=0)
+    P[d[1:], d[:-1]] = sub[:, None] * ct * P[d[:-1], d[:-1]]
+    for l, (a, b) in enumerate(rows, start=2):
+        P[l, : l - 1] = a * (ct * P[l - 1, : l - 1] - b * P[l - 2, : l - 1])
+    return P
+
+
 def _theta_block(L: int, ct: np.ndarray, st: np.ndarray):
     """Orthonormalized associated Legendre stack and theta-derivatives.
 
-    Returns (P, dP, ddP), each of shape (L+1, L+1, npts), with P[l, m] the
-    colatitude factor of the degree-l order-m harmonic (m >= 0, Condon-
-    Shortley phase folded in).  First derivatives come from the ladder
-    identity, second derivatives from the defining ODE; both are exact and
-    pole-free on Gauss-Legendre nodes.
+    Returns (P, dP, ddP), each of shape (L+1, L+1, npts), with P from
+    ``_legendre``.  First derivatives come from the ladder identity, second
+    derivatives from the defining ODE; both are exact and pole-free on
+    Gauss-Legendre nodes.
     """
-    npts = ct.shape[0]
-    P = np.zeros((L + 1, L + 1, npts))
+    P = _legendre(L, ct, st)
     dP = np.zeros_like(P)
     ddP = np.zeros_like(P)
-    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, L + 1):
-        P[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * P[m - 1, m - 1]
-    for m in range(L):
-        P[m + 1, m] = math.sqrt(2.0 * m + 3.0) * ct * P[m, m]
-    for m in range(L + 1):
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            P[l, m] = a * (ct * P[l - 1, m] - b * P[l - 2, m])
     for l in range(1, L + 1):
         dP[l, 0] = math.sqrt(l * (l + 1.0)) * P[l, 1] if l >= 1 else 0.0
         for m in range(1, l + 1):
@@ -298,14 +344,14 @@ def basis_at(unit_vectors: np.ndarray, L: int) -> np.ndarray:
     ct = np.clip(v[..., 2], -1.0, 1.0).ravel()
     st = np.sqrt(np.maximum(1.0 - ct * ct, 1e-300))
     phi = np.arctan2(v[..., 1], v[..., 0]).ravel()
-    P, _, _ = _theta_block(L, ct, st)
+    P = _legendre(L, ct, st)
+    zonal, ls, ms, cos_idx, sin_idx = _flat_layout(L)
     out = np.empty((ct.shape[0], n_coeffs(L)))
-    s2 = math.sqrt(2.0)
-    for l in range(L + 1):
-        out[:, lm_index(l, 0)] = P[l, 0]
-        for m in range(1, l + 1):
-            out[:, lm_index(l, m)] = s2 * P[l, m] * np.cos(m * phi)
-            out[:, lm_index(l, -m)] = s2 * P[l, m] * np.sin(m * phi)
+    out[:, zonal] = P[:, 0].T
+    angle = ms[:, None] * phi
+    Pm = math.sqrt(2.0) * P[ls, ms]
+    out[:, cos_idx] = (Pm * np.cos(angle)).T
+    out[:, sin_idx] = (Pm * np.sin(angle)).T
     return out
 
 
@@ -367,6 +413,7 @@ class SphereGraph:
                 c1_norm=norm,
             )
         self.c1_norm = norm
+        self._r0: float | None = None
 
     @classmethod
     def round_sphere(cls, radius: float, center=(0.0, 0.0, 0.0), L: int = 24) -> "SphereGraph":
@@ -390,7 +437,10 @@ class SphereGraph:
 
         Refined-grid minimum polished by a local simplex search in the chart
         angles; accurate to optimizer tolerance, not just grid resolution.
+        Computed on the first call and cached, since graphs are immutable.
         """
+        if self._r0 is not None:
+            return self._r0
         grid = _guard_grid(self.L)
         jets = synthesize(self.coeffs, grid, self.L)
         rho = self.scale * (1.0 + jets.f)
@@ -408,7 +458,8 @@ class SphereGraph:
 
         res = optimize.minimize(objective, x0, method="Nelder-Mead",
                                 options={"xatol": 1e-12, "fatol": 1e-13})
-        return min(float(dist[k]), float(res.fun))
+        self._r0 = min(float(dist[k]), float(res.fun))
+        return self._r0
 
     def encloses_origin(self) -> bool:
         """Ray-parity test of the origin against the star-shaped surface.
@@ -454,7 +505,6 @@ def _translated_radii(coeffs, L, grid, v, warm=None, tol=1e-14, max_inner=30):
     vd = d @ v
     v2 = float(v @ v)
     t = warm.copy() if warm is not None else np.ones(grid.n_nodes)
-    P_cache = {}
     for _ in range(max_inner):
         p = v[None, :] + t[:, None] * d
         u = p / np.linalg.norm(p, axis=-1, keepdims=True)
@@ -492,7 +542,6 @@ def moment_normalize(graph: SphereGraph, grid: QuadratureGrid | None = None,
     nodes = grid.nodes
     v = np.zeros(3)
     warm = None
-    fv = 1.0 + synthesize(graph.coeffs, grid, L).f
     residual = np.inf
     for _ in range(max_outer):
         t = _translated_radii(graph.coeffs, L, grid, v, warm=warm)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cmclab import metrics as mt
-from cmclab.errors import ConfigError
+from cmclab.errors import ConfigError, DomainError, GeometryError
 from cmclab.harness import cli, experiments
 from cmclab.harness.config import SCHEMA, load_config
 from cmclab.harness.experiments import (AUDIT_COLUMNS, EXPAND_COLUMNS,
@@ -353,6 +353,60 @@ def test_run_scan_unevaluable_surface_is_all_nan(tmp_path):
     assert row["flux"] == "nan"
     assert row["lambda2_flux"] == "nan"
     assert row["solve_converged"] == "false"
+
+
+def test_run_scan_gates_on_the_model_domain_radius(tmp_path):
+    # mass 4 excludes |x| <= 2: the surface 1.2 from the origin is flagged
+    # without touching the metric instead of aborting the scan
+    out = tmp_path / "small"
+    status, _ = run_scan(scan_cfg(**{"metric.mass": "4", "scan.lambdas": "1.2",
+                                     "scan.xis": "2,0,0"}), str(out))
+    assert status == 0
+    (row,) = read_rows(out / "scan.csv")
+    assert row["flagged"] == "true"
+    assert row["flag_reason"] == "inside_B2"
+    assert float(row["r0"]) == pytest.approx(1.2, abs=1e-9)
+    assert row["area"] == "nan"
+
+    # mass 8 excludes |x| <= 4: outside B2 but still not evaluable
+    out = tmp_path / "core"
+    run_scan(scan_cfg(**{"metric.mass": "8", "scan.lambdas": "3,16",
+                         "scan.xis": "2,0,0"}), str(out))
+    core, far = read_rows(out / "scan.csv")
+    assert core["flag_reason"] == "domain"
+    assert float(core["r0"]) == pytest.approx(3.0, abs=1e-9)
+    assert core["area"] == "nan"
+    assert core["error_total"] == "nan"
+    assert far["flagged"] == "false"
+    assert np.isfinite(float(far["error_total"]))
+
+
+@pytest.mark.parametrize("error, reason", [
+    (DomainError("point inside the core"), "domain"),
+    (GeometryError("degenerate normal"), "geometry"),
+])
+def test_run_scan_isolates_a_failing_row(tmp_path, monkeypatch, error, reason):
+    original = experiments.build_geometry
+
+    def failing_for_lambda_16(graph, model, grid):
+        if graph.scale == 16.0:
+            raise error
+        return original(graph, model, grid)
+
+    monkeypatch.setattr(experiments, "build_geometry", failing_for_lambda_16)
+    out = tmp_path / "out"
+    status, messages = run_scan(scan_cfg(**{"scan.xis": "2,0,0"}), str(out))
+    assert status == 0
+    assert messages == ["flagged rows: 1"]
+    ok, bad = read_rows(out / "scan.csv")
+    assert ok["flagged"] == "false"
+    assert np.isfinite(float(ok["error_total"]))
+    assert bad["flagged"] == "true"
+    assert bad["flag_reason"] == reason
+    assert float(bad["r0"]) == pytest.approx(16.0, abs=1e-9)
+    for key in ("area", "lambda2_flux", "gamma", "error_total"):
+        assert bad[key] == "nan"
+    assert bad["solve_converged"] == "false"
 
 
 def test_run_scan_zero_mass_kills_favorable_term(tmp_path):

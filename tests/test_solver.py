@@ -33,6 +33,19 @@ STRONG_XX = mt.perturbed_model(
     1.0, mt.PerturbationSpec((mt.PerturbationTerm(2.0, 12.0, 0, 0),)))
 
 
+# --- contract under bad input ---
+
+def test_solve_outside_metric_domain_reports_instead_of_raising():
+    # the surface reaches radius 0.5, inside the excluded unit ball
+    start = SphereGraph.round_sphere(1.5, center=(2.0, 0.0, 0.0))
+    report = solve_cmc(start, mt.schwarzschild_model(1.0), 0.5)
+    assert not report.converged
+    assert report.iterations == 0
+    assert math.isnan(report.final_residual)
+    assert "cannot be evaluated" in report.message
+    assert report.surface is start
+
+
 # --- round-sphere curvature oracles ---
 
 def test_round_mean_curvature_closed_form():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cmclab.sphere as sphere
 from cmclab.errors import CapacityError, EmbeddingError
-from cmclab.sphere import (QuadratureGrid, SphereGraph, analyze, c1_seminorms,
-                           corpus_graph, degree_of_index, index_lm, lm_index,
+from cmclab.sphere import (QuadratureGrid, SphereGraph, _theta_block, analyze,
+                           basis_at, c1_seminorms, corpus_graph,
+                           degree_of_index, index_lm, lm_index,
                            moment_normalize, n_coeffs, synthesize)
 
 FOUR_PI = 4.0 * math.pi
@@ -186,3 +188,105 @@ def test_corpus_graph_deterministic_and_bounded():
     fmax, gmax = c1_seminorms(a.coeffs, a.L)
     assert fmax + gmax <= 0.1 + 1e-12
     assert not np.array_equal(a.coeffs, corpus_graph(12).coeffs)
+
+
+# --- point evaluator against the per-(l, m) reference construction ---
+
+def reference_theta_block(L, ct, st):
+    """Legendre table built one (l, m) entry at a time, with derivatives."""
+    npts = ct.shape[0]
+    P = np.zeros((L + 1, L + 1, npts))
+    dP = np.zeros_like(P)
+    ddP = np.zeros_like(P)
+    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, L + 1):
+        P[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * P[m - 1, m - 1]
+    for m in range(L):
+        P[m + 1, m] = math.sqrt(2.0 * m + 3.0) * ct * P[m, m]
+    for m in range(L + 1):
+        for l in range(m + 2, L + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            P[l, m] = a * (ct * P[l - 1, m] - b * P[l - 2, m])
+    for l in range(1, L + 1):
+        dP[l, 0] = math.sqrt(l * (l + 1.0)) * P[l, 1]
+        for m in range(1, l + 1):
+            up = P[l, m + 1] if m + 1 <= l else 0.0
+            c1 = math.sqrt((l - m) * (l + m + 1.0))
+            c2 = math.sqrt((l + m) * (l - m + 1.0))
+            dP[l, m] = 0.5 * (c1 * up - c2 * P[l, m - 1])
+    cot = ct / st
+    inv_st2 = 1.0 / (st * st)
+    for l in range(L + 1):
+        for m in range(l + 1):
+            ddP[l, m] = -cot * dP[l, m] - (l * (l + 1.0) - m * m * inv_st2) * P[l, m]
+    return P, dP, ddP
+
+
+def reference_basis_at(unit_vectors, L):
+    v = np.asarray(unit_vectors, dtype=float)
+    ct = np.clip(v[..., 2], -1.0, 1.0).ravel()
+    st = np.sqrt(np.maximum(1.0 - ct * ct, 1e-300))
+    phi = np.arctan2(v[..., 1], v[..., 0]).ravel()
+    P, _, _ = reference_theta_block(L, ct, st)
+    out = np.empty((ct.shape[0], n_coeffs(L)))
+    s2 = math.sqrt(2.0)
+    for l in range(L + 1):
+        out[:, lm_index(l, 0)] = P[l, 0]
+        for m in range(1, l + 1):
+            out[:, lm_index(l, m)] = s2 * P[l, m] * np.cos(m * phi)
+            out[:, lm_index(l, -m)] = s2 * P[l, m] * np.sin(m * phi)
+    return out
+
+
+POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 16, 24])
+def test_basis_at_matches_reference_bitwise(L):
+    rng = np.random.default_rng(100 + L)
+    v = rng.standard_normal((57, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = np.concatenate([POLES, v])
+    assert np.array_equal(basis_at(v, L), reference_basis_at(v, L))
+    # one point at a time, as the r0 search and encloses_origin call it
+    for point in np.concatenate([POLES, v[2:7]]):
+        assert np.array_equal(basis_at(point[None, :], L),
+                              reference_basis_at(point[None, :], L))
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 16, 24])
+def test_theta_block_matches_reference_bitwise(L):
+    grid = QuadratureGrid(L + 2, 2 * L + 3)
+    got = _theta_block(L, grid.cos_theta, grid.sin_theta)
+    want = reference_theta_block(L, grid.cos_theta, grid.sin_theta)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def counting_basis_at(monkeypatch):
+    calls = []
+    original = sphere.basis_at
+
+    def counted(unit_vectors, L):
+        calls.append(L)
+        return original(unit_vectors, L)
+
+    monkeypatch.setattr(sphere, "basis_at", counted)
+    return calls
+
+
+def test_r0_is_computed_once_per_graph(monkeypatch):
+    g = corpus_graph(5, L=8, c1_target=0.05, scale=2.0, center=(5.0, 1.0, 0.0))
+    calls = counting_basis_at(monkeypatch)
+    first = g.r0()
+    assert calls
+    n_first = len(calls)
+    assert g.r0() == first
+    assert len(calls) == n_first
+
+    # a new graph gets its own search and its own value
+    h = g.with_coeffs(0.5 * g.coeffs)
+    assert h.r0() != first
+    assert len(calls) > n_first
+    assert g.r0() == first
