@@ -18,7 +18,7 @@ from . import metrics as mt
 from .errors import FitError, PreconditionError, UndefinedRatioError
 from .geometry import GeometryCache, build_geometry
 from .sphere import (QuadratureGrid, SphereGraph, _guard_grid, degree_of_index,
-                     lm_index, n_coeffs, synthesize)
+                     lm_index, n_coeffs, quadrature_grid, synthesize)
 
 FOUR_PI = 4.0 * math.pi
 SIXTEEN_PI = 16.0 * math.pi
@@ -112,7 +112,7 @@ def taylor_prefactor_fit(mode: tuple[int, int], epsilons,
     if abs(qform) < 1e-12:
         raise FitError(f"quadratic form vanishes for degree {l}")
     if grid is None:
-        grid = QuadratureGrid(32, 64)
+        grid = quadrature_grid(32, 64)
     model = mt.euclidean_model()
     deficits = np.array([
         minkowski_deficit(build_geometry(

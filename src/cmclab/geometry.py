@@ -21,16 +21,19 @@ from .errors import GeometryError, PreconditionError
 from .sphere import QuadratureGrid, SphereGraph, SphereJets, synthesize
 
 
+def _points(rho, center, nhat):
+    """Graph points center + rho * direction, (N, 3)."""
+    return np.asarray(center)[None, :] + rho[:, None] * nhat
+
+
 def _embedding(jets: SphereJets, center, scale, frames):
     """Embedding and its chart derivatives from graph jets.
 
     Returns X, X_th, X_ph, X_thth, X_thph, X_phph with shape (N, 3).
     """
     nhat, that, phat, st, ct = frames
-    f = jets.f
-    rho = scale * (1.0 + f)
-    c = np.asarray(center)
-    X = c[None, :] + rho[:, None] * nhat
+    rho = scale * (1.0 + jets.f)
+    X = _points(rho, center, nhat)
     Xth = (scale * jets.dth)[:, None] * nhat + rho[:, None] * that
     Xph = (scale * jets.dph)[:, None] * nhat + (rho * st)[:, None] * phat
     Xthth = (scale * jets.dthth - rho)[:, None] * nhat + (2.0 * scale * jets.dth)[:, None] * that
@@ -104,21 +107,44 @@ def _second_form(nu_vec, g3, Gam, Xth, Xph, Xthth, Xthph, Xphph):
     return h
 
 
+def _background(model: mt.MetricModel, X):
+    """(g3, Gam, g3inv) at the points X, or None in the flat model."""
+    if model.kind == mt.EUCLIDEAN:
+        return None
+    g3, dg3, _ = mt.evaluate_metric(model, X)
+    Gam, g3inv = mt.christoffel(g3, dg3)
+    return g3, Gam, g3inv
+
+
+def background_at(jets: SphereJets, center, scale, model: mt.MetricModel,
+                  grid: QuadratureGrid):
+    """Metric, Christoffel symbols and inverse metric at the graph's points.
+
+    Returns (g3, Gam, g3inv) at the real points of the jets' value field, or
+    None in the flat model.  Only the value jet moves the points, so one
+    background serves every jet that perturbs a derivative field (see
+    ``mean_curvature_from_jets``).
+    """
+    X = _points(scale * (1.0 + jets.f), center, grid.frames()[0])
+    return _background(model, X)
+
+
 def mean_curvature_from_jets(jets: SphereJets, center, scale, model: mt.MetricModel,
-                             grid: QuadratureGrid):
+                             grid: QuadratureGrid, background=None):
     """Node-wise mean curvature of the graph described by the jets.
 
     Complex-safe: perturbing a jet component by an imaginary step and reading
     the imaginary part of H gives the exact directional derivative.
+
+    ``background`` is the ``background_at`` result of jets with the same
+    value field ``f``; passing it skips the metric evaluation.  Without it the
+    metric is evaluated at the jets' own (possibly complex) points.
     """
     frames = grid.frames()
     X, Xth, Xph, Xthth, Xthph, Xphph = _embedding(jets, center, scale, frames)
-    if model.kind == mt.EUCLIDEAN:
-        g3 = None
-        Gam = None
-    else:
-        g3, dg3, _ = mt.evaluate_metric(model, X)
-        Gam, _ = mt.christoffel(g3, dg3)
+    if background is None:
+        background = _background(model, X)
+    g3, Gam, g3inv = background or (None, None, None)
     gind = _induced(Xth, Xph, g3)
     ginv, det = _inv2(gind)
     ncov = _cross(Xth, Xph)
@@ -128,7 +154,7 @@ def mean_curvature_from_jets(jets: SphereJets, center, scale, model: mt.MetricMo
     if g3 is None:
         nu = ncov / np.sqrt(_dot(ncov, ncov))[:, None]
     else:
-        raised = np.einsum("nij,nj->ni", np.linalg.inv(g3), ncov)
+        raised = np.einsum("nij,nj->ni", g3inv, ncov)
         nu = raised / np.sqrt(np.einsum("ni,ni->n", ncov, raised))[:, None]
     h = _second_form(nu, g3, Gam, Xth, Xph, Xthth, Xthph, Xphph)
     H = np.einsum("nab,nab->n", ginv, h)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .. import metrics as mt
 from ..errors import ConfigError
 from ..solver import CmcOptions
-from ..sphere import QuadratureGrid
+from ..sphere import QuadratureGrid, quadrature_grid
 
 ENV_PREFIX = "CMCLAB_"
 
@@ -240,7 +240,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"grid.n_theta/grid.n_phi: capacity {capacity} below degree "
                 f"L={L}; need n_theta >= L+1 and n_phi >= 2L+1")
-        return QuadratureGrid(n_theta, n_phi)
+        return quadrature_grid(n_theta, n_phi)
 
     def solver_options(self) -> CmcOptions:
         jac = self.values["solve.jacobian"]

@@ -18,8 +18,8 @@ from ..geometry import (area_element_comparison_residual, build_geometry,
                         mean_curvature_comparison_residual)
 from ..solver import (CmcOptions, round_seed_radius, solve_cmc,
                       stability_spectrum)
-from ..sphere import (QuadratureGrid, SphereGraph, analyze, corpus_graph,
-                      degree_of_index, lm_index, moment_normalize, n_coeffs,
+from ..sphere import (SphereGraph, analyze, corpus_graph, degree_of_index,
+                      lm_index, moment_normalize, n_coeffs, quadrature_grid,
                       synthesize)
 from .config import ExperimentConfig
 
@@ -53,8 +53,8 @@ def _bumpy(seed: int, L: int, amp: float, scale: float = 1.0,
 def run_verify(config: ExperimentConfig | None = None) -> dict:
     seed = 0 if config is None else config["seed"]
     b = _Battery()
-    grid = QuadratureGrid(32, 64)
-    small = QuadratureGrid(16, 32)
+    grid = quadrature_grid(32, 64)
+    small = quadrature_grid(16, 32)
 
     # --- harmonic transform layer ---
     L = 10

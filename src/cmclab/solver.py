@@ -5,7 +5,13 @@ function, so each node's H depends on that node's jet alone.  Perturbing one
 jet component at every node by a tiny imaginary step therefore yields, in a
 single evaluation, the exact partial of H with respect to that component at
 all nodes at once; six such evaluations assemble the full Jacobian without
-truncation error.  A central-difference fallback is available.
+truncation error.  A central-difference fallback is available.  Only the
+value jet moves the surface points, so the background metric and its
+Christoffel symbols are evaluated once per Newton iterate and shared by the
+five derivative jets; the value jet evaluates them at its own points.
+
+Grids come from the process-wide cache (``sphere.quadrature_grid``), so the
+basis matrices of a (grid shape, L) pair are built once per process.
 
 Also provides the volume-constrained stability spectrum and continuation
 along a mean-curvature ladder (foliation tracing).
@@ -24,11 +30,11 @@ from . import metrics as mt
 from .errors import (DomainError, EmbeddingError, GeometryError,
                      PreconditionError)
 from .functionals import enclosed_volume_flat
-from .geometry import build_geometry, mean_curvature_from_jets
-from .sphere import (C1_EMBEDDING_BOUND, QuadratureGrid, SphereGraph,
-                     SphereJets, c1_seminorms, synthesize)
+from .geometry import background_at, build_geometry, mean_curvature_from_jets
+from .sphere import (C1_EMBEDDING_BOUND, JET_KEYS, QuadratureGrid,
+                     SphereGraph, SphereJets, _guard_grid, c1_seminorms,
+                     quadrature_grid, synthesize)
 
-JET_KEYS = ("val", "dth", "dph", "dthth", "dthph", "dphph")
 IMAG_STEP = 1e-20
 
 
@@ -51,7 +57,7 @@ class CmcOptions:
         if self.grid is not None:
             self.grid.require_capacity(L)
             return self.grid
-        return QuadratureGrid(max(32, L + 2), max(64, 2 * L + 3))
+        return quadrature_grid(max(32, L + 2), max(64, 2 * L + 3))
 
 
 @dataclass
@@ -78,30 +84,30 @@ class SolveReport:
         }
 
 
-def _node_jacobian(jets: SphereJets, center, scale, model, grid, basis,
-                   opts: CmcOptions) -> np.ndarray:
-    """d(H at node)/d(coefficient) as an (n_nodes, n_coeffs) matrix."""
+def _node_jacobian(jets: SphereJets, background, center, scale, model, grid,
+                   basis, opts: CmcOptions) -> np.ndarray:
+    """d(H at node)/d(coefficient) as an (n_nodes, n_coeffs) matrix.
+
+    ``background`` is ``background_at(jets, ...)``; the five derivative jets
+    reuse it, the value jet evaluates the metric at its own moved points.
+    """
     M = np.zeros((grid.n_nodes, basis["val"].shape[1]))
     names = ("f", "dth", "dph", "dthth", "dthph", "dphph")
     arrays = {k: getattr(jets, f) for k, f in zip(JET_KEYS, names)}
+
+    def H_of(key, bumped_field):
+        fields = dict(arrays, **{key: bumped_field})
+        return mean_curvature_from_jets(
+            SphereJets(*(fields[k] for k in JET_KEYS)), center, scale, model,
+            grid, background=None if key == "val" else background)
+
     for key in JET_KEYS:
         if opts.jacobian == "exact":
-            bumped = dict(arrays)
-            bumped[key] = arrays[key] + 1j * IMAG_STEP
-            jp = SphereJets(*(bumped[k] for k in JET_KEYS))
-            G = np.imag(
-                mean_curvature_from_jets(jp, center, scale, model, grid)
-            ) / IMAG_STEP
+            G = np.imag(H_of(key, arrays[key] + 1j * IMAG_STEP)) / IMAG_STEP
         else:
             h = opts.central_step
-            up, dn = dict(arrays), dict(arrays)
-            up[key] = arrays[key] + h
-            dn[key] = arrays[key] - h
-            Hp = mean_curvature_from_jets(SphereJets(*(up[k] for k in JET_KEYS)),
-                                          center, scale, model, grid)
-            Hm = mean_curvature_from_jets(SphereJets(*(dn[k] for k in JET_KEYS)),
-                                          center, scale, model, grid)
-            G = (Hp - Hm) / (2.0 * h)
+            G = (H_of(key, arrays[key] + h)
+                 - H_of(key, arrays[key] - h)) / (2.0 * h)
         M += G[:, None] * basis[key]
     return M
 
@@ -135,12 +141,14 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
             raise EmbeddingError("trial graph violates the embedding bound",
                                  c1_norm=fmax + gmax)
         jets = SphereJets(*(basis[k] @ coeffs for k in JET_KEYS))
-        H = mean_curvature_from_jets(jets, center, scale, model, grid)
-        return H, jets
+        background = background_at(jets, center, scale, model, grid)
+        H = mean_curvature_from_jets(jets, center, scale, model, grid,
+                                     background=background)
+        return H, jets, background
 
     c = initial.coeffs.copy()
     try:
-        H, jets = evaluate(c)
+        H, jets, background = evaluate(c)
     except (DomainError, GeometryError) as exc:
         return SolveReport(converged=False, iterations=0,
                            final_residual=float("nan"), surface=initial,
@@ -157,7 +165,8 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         if float(np.max(np.abs(res))) <= opts.tolerance:
             break
         iterations += 1
-        M = _node_jacobian(jets, center, scale, model, grid, basis, opts)
+        M = _node_jacobian(jets, background, center, scale, model, grid,
+                           basis, opts)
         J = A @ M
         JtJ = J.T @ J
         lam = opts.ridge * np.trace(JtJ) / JtJ.shape[0]
@@ -170,7 +179,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         while alpha >= opts.armijo_floor:
             trial = c + alpha * step
             try:
-                Ht_trial, jets_trial = evaluate(trial)
+                Ht_trial, jets_trial, bg_trial = evaluate(trial)
             except (EmbeddingError, DomainError, GeometryError):
                 alpha *= opts.armijo_factor
                 continue
@@ -178,7 +187,8 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
             F_trial = A @ res_trial
             n_trial = float(np.linalg.norm(F_trial))
             if best is None or n_trial < best[0]:
-                best = (n_trial, trial, Ht_trial, jets_trial, res_trial, F_trial)
+                best = (n_trial, trial, Ht_trial, jets_trial, bg_trial,
+                        res_trial, F_trial)
             if n_trial <= (1.0 - opts.armijo_slope * alpha) * norm:
                 accepted = True
                 break
@@ -186,7 +196,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         if best is None:
             message = "every damped trial violated the embedding or domain bounds"
             break
-        n_best, c, H, jets, res, F = best
+        n_best, c, H, jets, background, res, F = best
         grew = n_best >= norm
         norm = n_best
         bad_steps = 0 if (accepted and not grew) else bad_steps + 1
@@ -233,10 +243,10 @@ def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
     """
     L_op = L_op if L_op is not None else surface.L
     if grid is None:
-        grid = QuadratureGrid(2 * (L_op + 1), 2 * (2 * L_op + 1))
+        grid = _guard_grid(L_op)
     grid.require_capacity(max(L_op, surface.L))
     cache = build_geometry(surface, model, grid)
-    basis = grid.basis_matrices(L_op)
+    basis = grid.basis_matrices(L_op, keys=("val", "dth", "dph"))
     B, Bt, Bp = basis["val"], basis["dth"], basis["dph"]
     wj = grid.weights * cache.J
     gi = cache.ginv_ind
@@ -349,7 +359,8 @@ def trace_foliation(model: mt.MetricModel, H_start: float, H_end: float,
     targets = np.geomspace(H_start, H_end, n_leaves)
     trace = FoliationTrace(leaves=[], metric=model)
     try:
-        seed = SphereGraph.round_sphere(round_seed_radius(model, targets[0]), L=L)
+        radius = round_seed_radius(model, targets[0])
+        seed = SphereGraph.round_sphere(radius, L=L)
     except PreconditionError as exc:
         trace.truncated = True
         trace.diagnostic = f"leaf 0 seeding failed: {exc}"
@@ -379,7 +390,8 @@ def trace_foliation(model: mt.MetricModel, H_start: float, H_end: float,
             mean = s.coeffs[0] / math.sqrt(4.0 * math.pi)
             coeffs = s.coeffs / (1.0 + mean)
             coeffs[0] = 0.0
-            ratio = (round_seed_radius(model, float(targets[k + 1]))
-                     / round_seed_radius(model, float(H_target)))
+            next_radius = round_seed_radius(model, float(targets[k + 1]))
+            ratio = next_radius / radius
+            radius = next_radius
             seed = SphereGraph(s.center, s.scale * (1.0 + mean) * ratio, L, coeffs)
     return trace

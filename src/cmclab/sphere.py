@@ -49,6 +49,16 @@ def degree_of_index(L: int) -> np.ndarray:
     return ls
 
 
+JET_KEYS = ("val", "dth", "dph", "dthth", "dthph", "dphph")
+
+
+def _frozen(*arrays) -> tuple:
+    """The arrays, marked read-only (grids are shared, see quadrature_grid)."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 class QuadratureGrid:
     """Gauss-Legendre x uniform-longitude product grid on the sphere.
 
@@ -63,8 +73,10 @@ class QuadratureGrid:
     weights : ndarray, shape (n_theta * n_phi,)
         Quadrature weights for the round measure; they sum to 4*pi.
 
-    Instances are immutable after construction; the internal basis cache is
-    append-only and safe to share between threads.
+    Instances are immutable: every array a grid holds or caches is read-only,
+    and the internal cache (frames, Legendre and trigonometric blocks, basis
+    matrices) is append-only, so one instance can be shared between callers
+    and threads.  ``quadrature_grid`` returns the shared instance of a shape.
     """
 
     def __init__(self, n_theta: int, n_phi: int):
@@ -88,6 +100,8 @@ class QuadratureGrid:
         ny = st * sp
         nz = np.broadcast_to(ct, nx.shape)
         self.nodes = np.stack([nx.ravel(), ny.ravel(), nz.ravel()], axis=-1)
+        _frozen(self.cos_theta, self.sin_theta, self.theta, self.theta_weights,
+                self.phi, self.weights, self.nodes)
         self._cache: dict = {}
 
     @property
@@ -100,7 +114,7 @@ class QuadratureGrid:
         return min(self.n_theta - 1, (self.n_phi - 1) // 2)
 
     def refined(self, factor: int = 2) -> "QuadratureGrid":
-        return QuadratureGrid(self.n_theta * factor, self.n_phi * factor)
+        return quadrature_grid(self.n_theta * factor, self.n_phi * factor)
 
     def require_capacity(self, L: int) -> None:
         if L > self.capacity:
@@ -119,49 +133,72 @@ class QuadratureGrid:
             sp = np.tile(np.sin(self.phi), self.n_theta)
             that = np.stack([ct * cp, ct * sp, -st], axis=-1)
             phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-            self._cache[key] = (self.nodes, that, phat, st, ct)
+            self._cache[key] = (self.nodes,) + _frozen(that, phat, st, ct)
         return self._cache[key]
 
     def theta_block(self, L: int):
         key = ("theta", L)
         if key not in self._cache:
-            self._cache[key] = _theta_block(L, self.cos_theta, self.sin_theta)
+            self._cache[key] = _frozen(*_theta_block(L, self.cos_theta,
+                                                     self.sin_theta))
         return self._cache[key]
 
     def trig_block(self, L: int):
         key = ("trig", L)
         if key not in self._cache:
-            self._cache[key] = _trig_block(L, self.phi)
+            self._cache[key] = _frozen(*_trig_block(L, self.phi))
         return self._cache[key]
 
-    def basis_matrices(self, L: int):
-        """Dense node-by-coefficient matrices for the six jet fields.
+    def basis_matrices(self, L: int, keys=JET_KEYS) -> dict:
+        """Dense node-by-coefficient matrices of the requested jet fields.
 
-        Keys: 'val', 'dth', 'dph', 'dthth', 'dthph', 'dphph'.  Built lazily
-        and cached; intended for the moderate default grids.
+        Keys are drawn from ``JET_KEYS``: 'val', 'dth', 'dph', 'dthth',
+        'dthph', 'dphph'.  Each matrix is built on first request, as one
+        broadcast product of its theta factor (from ``theta_block``) and phi
+        factor (from ``trig_block``), and cached under ("B", L, key); a caller
+        that needs three keys pays for three.  The matrices are C-contiguous
+        (BLAS products with them then match the per-(l, m) construction bit
+        for bit) and read-only.  They stay cached as long as the grid lives,
+        which for the shared grids of ``quadrature_grid`` is the whole
+        process.
         """
-        key = ("B", L)
-        if key not in self._cache:
-            P, dP, ddP = self.theta_block(L)
-            T, dT = self.trig_block(L)
-            n = n_coeffs(L)
-            N = self.n_nodes
-            mats = {k: np.empty((N, n)) for k in ("val", "dth", "dph", "dthth", "dthph", "dphph")}
-            for l in range(L + 1):
-                for m in range(-l, l + 1):
-                    idx = lm_index(l, m)
-                    am = abs(m)
-                    th, dth, ddth = P[l, am], dP[l, am], ddP[l, am]
-                    tr, dtr = T[m + L], dT[m + L]
-                    ddtr = -(m * m) * tr
-                    mats["val"][:, idx] = np.outer(th, tr).ravel()
-                    mats["dth"][:, idx] = np.outer(dth, tr).ravel()
-                    mats["dph"][:, idx] = np.outer(th, dtr).ravel()
-                    mats["dthth"][:, idx] = np.outer(ddth, tr).ravel()
-                    mats["dthph"][:, idx] = np.outer(dth, dtr).ravel()
-                    mats["dphph"][:, idx] = np.outer(th, ddtr).ravel()
-            self._cache[key] = mats
-        return self._cache[key]
+        out = {}
+        for key in keys:
+            cache_key = ("B", L, key)
+            if cache_key not in self._cache:
+                self._cache[cache_key] = self._basis_matrix(L, key)
+            out[key] = self._cache[cache_key]
+        return out
+
+    def _basis_matrix(self, L: int, key: str) -> np.ndarray:
+        P, dP, ddP = self.theta_block(L)
+        T, dT = self.trig_block(L)
+        ddT = -(np.arange(-L, L + 1) ** 2)[:, None] * T
+        theta, phi = {"val": (P, T), "dth": (dP, T), "dph": (P, dT),
+                      "dthth": (ddP, T), "dthph": (dP, dT),
+                      "dphph": (P, ddT)}[key]
+        ls = degree_of_index(L)
+        ms = np.arange(n_coeffs(L)) - ls * ls - ls
+        # per coefficient: theta factor (n, n_theta), phi factor (n, n_phi)
+        theta, phi = theta[ls, np.abs(ms)], phi[ms + L]
+        out = np.empty((self.n_theta, self.n_phi, ms.size))
+        np.multiply(theta.T[:, None, :], phi.T[None, :, :], out=out)
+        return _frozen(out.reshape(self.n_nodes, ms.size))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def quadrature_grid(n_theta: int, n_phi: int) -> QuadratureGrid:
+    """The process-wide shared grid of this shape.
+
+    Frames, Legendre blocks and basis matrices are then built once per
+    process for each shape instead of once per grid object.  The cache is
+    unbounded, like the guard-grid dict it replaces: a grid and everything
+    it caches (per L: the Legendre and trig blocks and each requested basis
+    matrix, 8 * n_nodes * (L+1)^2 bytes apiece) live for the life of the
+    process.  A process that works at several L keeps the matrices of every
+    L it has used; ``quadrature_grid.cache_clear()`` drops them all.
+    """
+    return QuadratureGrid(n_theta, n_phi)
 
 
 @functools.lru_cache(maxsize=None)
@@ -355,14 +392,9 @@ def basis_at(unit_vectors: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
-_guard_grids: dict[int, QuadratureGrid] = {}
-
-
 def _guard_grid(L: int) -> QuadratureGrid:
     """2x refined evaluation grid used for norm guards and r0 measurements."""
-    if L not in _guard_grids:
-        _guard_grids[L] = QuadratureGrid(2 * (L + 1), 2 * (2 * L + 1))
-    return _guard_grids[L]
+    return quadrature_grid(2 * (L + 1), 2 * (2 * L + 1))
 
 
 def c1_seminorms(coeffs: np.ndarray, L: int) -> tuple[float, float]:
@@ -377,14 +409,14 @@ def c1_seminorms(coeffs: np.ndarray, L: int) -> tuple[float, float]:
 C1_EMBEDDING_BOUND = 0.5
 
 
-@dataclass
+@dataclass(eq=False)
 class SphereGraph:
     """Radial graph surface: center + scale * (1 + f(direction)) * direction.
 
     ``f`` is stored as real orthonormal harmonic coefficients up to degree L.
     Construction validates finiteness and the C1 smallness bound
     max|f| + max|grad f| < 1/2 that keeps the graph embedded and star-shaped.
-    Instances are treated as immutable.
+    Instances are treated as immutable; they compare and hash by identity.
     """
 
     center: np.ndarray
@@ -536,7 +568,7 @@ def moment_normalize(graph: SphereGraph, grid: QuadratureGrid | None = None,
             f"moment normalization needs C1 norm < 0.2, got {graph.c1_norm:.4g}"
         )
     L = graph.L
-    grid = grid or QuadratureGrid(max(L + 1, 2 * (L + 1)), max(2 * L + 1, 2 * (2 * L + 1)))
+    grid = grid or _guard_grid(L)
     grid.require_capacity(L)
     w = grid.weights
     nodes = grid.nodes

@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
+import cmclab.solver as solver
 from cmclab import metrics as mt
 from cmclab.errors import PreconditionError
-from cmclab.geometry import build_geometry
-from cmclab.solver import (CmcOptions, SolveReport, round_mean_curvature,
+from cmclab.geometry import (background_at, build_geometry,
+                             mean_curvature_from_jets)
+from cmclab.solver import (IMAG_STEP, JET_KEYS, CmcOptions, SolveReport,
+                           _node_jacobian, round_mean_curvature,
                            round_seed_radius, solve_cmc, stability_spectrum,
                            trace_foliation)
-from cmclab.sphere import QuadratureGrid, SphereGraph, n_coeffs
+from cmclab.sphere import (QuadratureGrid, SphereGraph, SphereJets, n_coeffs,
+                           quadrature_grid, synthesize)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -273,3 +277,99 @@ def test_trace_forces_stability_check():
     for leaf in trace.leaves:
         assert np.isfinite(leaf.stability_eigenvalue)
         assert leaf.stable
+
+
+# --- Jacobian and basis reuse against the per-jet reference ---
+
+def reference_node_jacobian(jets, center, scale, model, grid, basis, opts):
+    """Every jet evaluates the metric at its own points."""
+    M = np.zeros((grid.n_nodes, basis["val"].shape[1]))
+    names = ("f", "dth", "dph", "dthth", "dthph", "dphph")
+    arrays = {k: getattr(jets, f) for k, f in zip(JET_KEYS, names)}
+    for key in JET_KEYS:
+        if opts.jacobian == "exact":
+            bumped = dict(arrays)
+            bumped[key] = arrays[key] + 1j * IMAG_STEP
+            jp = SphereJets(*(bumped[k] for k in JET_KEYS))
+            G = np.imag(
+                mean_curvature_from_jets(jp, center, scale, model, grid)
+            ) / IMAG_STEP
+        else:
+            h = opts.central_step
+            up, dn = dict(arrays), dict(arrays)
+            up[key] = arrays[key] + h
+            dn[key] = arrays[key] - h
+            Hp = mean_curvature_from_jets(SphereJets(*(up[k] for k in JET_KEYS)),
+                                          center, scale, model, grid)
+            Hm = mean_curvature_from_jets(SphereJets(*(dn[k] for k in JET_KEYS)),
+                                          center, scale, model, grid)
+            G = (Hp - Hm) / (2.0 * h)
+        M += G[:, None] * basis[key]
+    return M
+
+
+@pytest.mark.parametrize("jacobian", ["exact", "central"])
+@pytest.mark.parametrize("model", [
+    mt.euclidean_model(), mt.schwarzschild_model(1.0),
+    mt.perturbed_model(1.0, mt.PerturbationSpec(
+        (mt.PerturbationTerm(3.0, 0.3, 2, 2, ((1.0, (0, 0, 2)),)),)))],
+    ids=["euclidean", "schwarzschild", "perturbed"])
+def test_node_jacobian_matches_per_jet_reference_bitwise(model, jacobian):
+    graph = bumpy_seed(3, L=6, amp=0.003, scale=4.0, center=(0.3, 0.0, -0.2))
+    grid = QuadratureGrid(12, 24)
+    basis = grid.basis_matrices(graph.L)
+    jets = synthesize(graph.coeffs, grid, graph.L)
+    opts = CmcOptions(jacobian=jacobian)
+    background = background_at(jets, graph.center, graph.scale, model, grid)
+    assert (background is None) == (model.kind == mt.EUCLIDEAN)
+    got = _node_jacobian(jets, background, graph.center, graph.scale, model,
+                         grid, basis, opts)
+    want = reference_node_jacobian(jets, graph.center, graph.scale, model,
+                                   grid, basis, opts)
+    assert np.array_equal(got, want)
+
+
+def counting_basis_builds(monkeypatch):
+    built = []
+    original = QuadratureGrid._basis_matrix
+
+    def counted(grid, L, key):
+        built.append(((grid.n_theta, grid.n_phi), L, key))
+        return original(grid, L, key)
+
+    monkeypatch.setattr(QuadratureGrid, "_basis_matrix", counted)
+    return built
+
+
+def test_solves_share_the_basis_and_spectra_build_three_keys(monkeypatch):
+    quadrature_grid.cache_clear()  # the cache outlives tests
+    built = counting_basis_builds(monkeypatch)
+    model = mt.schwarzschild_model(1.0)
+    opts = CmcOptions(stability_modes=4)
+    for seed in (1, 2):
+        report = solve_cmc(bumpy_seed(seed, L=6, amp=0.001, scale=5.7), model,
+                           round_mean_curvature(model, 6.0), opts)
+        assert report.converged and report.stable
+        if seed == 1:
+            first = list(built)
+    solve_grid, spectrum_grid = (32, 64), (14, 26)
+    assert sorted(first) == sorted(
+        [(solve_grid, 6, k) for k in JET_KEYS]
+        + [(spectrum_grid, 6, k) for k in ("val", "dth", "dph")])
+    assert built == first
+
+
+def test_trace_foliation_seeds_each_leaf_once(monkeypatch):
+    calls = []
+    original = solver.round_seed_radius
+
+    def counted(model, H_target, *args, **kwargs):
+        calls.append(float(H_target))
+        return original(model, H_target, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "round_seed_radius", counted)
+    model = mt.schwarzschild_model(1.0)
+    H = round_mean_curvature(model, 6.0)
+    trace = trace_foliation(model, H, 0.8 * H, n_leaves=3, L=6)
+    assert not trace.truncated
+    assert calls == list(np.geomspace(H, 0.8 * H, 3))

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import cmclab.sphere as sphere
 from cmclab.errors import CapacityError, EmbeddingError
-from cmclab.sphere import (QuadratureGrid, SphereGraph, _theta_block, analyze,
-                           basis_at, c1_seminorms, corpus_graph,
+from cmclab.sphere import (JET_KEYS, QuadratureGrid, SphereGraph, _theta_block,
+                           analyze, basis_at, c1_seminorms, corpus_graph,
                            degree_of_index, index_lm, lm_index,
-                           moment_normalize, n_coeffs, synthesize)
+                           moment_normalize, n_coeffs, quadrature_grid,
+                           synthesize)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -290,3 +291,89 @@ def test_r0_is_computed_once_per_graph(monkeypatch):
     assert h.r0() != first
     assert len(calls) > n_first
     assert g.r0() == first
+
+
+# --- basis matrices against the per-(l, m) reference construction ---
+
+def reference_basis_matrices(grid, L):
+    """The six jet matrices filled one (l, m) column at a time."""
+    P, dP, ddP = grid.theta_block(L)
+    T, dT = grid.trig_block(L)
+    n = n_coeffs(L)
+    mats = {k: np.empty((grid.n_nodes, n)) for k in JET_KEYS}
+    for l in range(L + 1):
+        for m in range(-l, l + 1):
+            idx = lm_index(l, m)
+            am = abs(m)
+            th, dth, ddth = P[l, am], dP[l, am], ddP[l, am]
+            tr, dtr = T[m + L], dT[m + L]
+            ddtr = -(m * m) * tr
+            mats["val"][:, idx] = np.outer(th, tr).ravel()
+            mats["dth"][:, idx] = np.outer(dth, tr).ravel()
+            mats["dph"][:, idx] = np.outer(th, dtr).ravel()
+            mats["dthth"][:, idx] = np.outer(ddth, tr).ravel()
+            mats["dthph"][:, idx] = np.outer(dth, dtr).ravel()
+            mats["dphph"][:, idx] = np.outer(th, ddtr).ravel()
+    return mats
+
+
+def basis_keys(grid):
+    return {k for k in grid._cache if k[0] == "B"}
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 8, 16, 24])
+def test_basis_matrices_match_reference_bitwise(L):
+    grid = QuadratureGrid(L + 2, 2 * L + 3)
+    want = reference_basis_matrices(grid, L)
+    got = grid.basis_matrices(L)
+    assert set(got) == set(JET_KEYS)
+    for key in JET_KEYS:
+        assert np.array_equal(got[key], want[key]), key
+        assert got[key].flags.c_contiguous
+        assert got[key].shape == (grid.n_nodes, n_coeffs(L))
+
+
+@pytest.mark.parametrize("keys", [("val", "dth", "dph"), ("dphph",),
+                                  ("dthph", "val")])
+def test_basis_matrices_build_only_the_requested_keys(keys):
+    L = 8
+    grid = QuadratureGrid(L + 3, 2 * L + 4)
+    want = reference_basis_matrices(grid, L)
+    got = grid.basis_matrices(L, keys=keys)
+    assert set(got) == set(keys)
+    assert basis_keys(grid) == {("B", L, k) for k in keys}
+    for key in keys:
+        assert np.array_equal(got[key], want[key])
+        assert got[key].flags.c_contiguous
+    # a later request for every key reuses the cached ones
+    again = grid.basis_matrices(L)
+    for key in keys:
+        assert again[key] is got[key]
+    assert basis_keys(grid) == {("B", L, k) for k in JET_KEYS}
+
+
+def test_quadrature_grid_is_shared_per_shape():
+    grid = quadrature_grid(10, 19)
+    assert quadrature_grid(10, 19) is grid
+    assert quadrature_grid(11, 19) is not grid
+    assert grid.refined(2) is quadrature_grid(20, 38)
+    assert sphere._guard_grid(4) is quadrature_grid(10, 18)
+
+
+def test_grid_arrays_are_read_only():
+    grid = quadrature_grid(9, 17)
+    held = [grid.cos_theta, grid.sin_theta, grid.theta, grid.theta_weights,
+            grid.phi, grid.weights, grid.nodes]
+    held += list(grid.frames()) + list(grid.theta_block(4))
+    held += list(grid.trig_block(4)) + list(grid.basis_matrices(4).values())
+    for array in held:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+
+
+def test_sphere_graph_compares_by_identity():
+    a = SphereGraph.round_sphere(2.0, L=4)
+    b = SphereGraph.round_sphere(2.0, L=4)
+    assert a == a
+    assert a != b
+    assert len({a, b, a}) == 2

@@ -1,0 +1,33 @@
+"""The benchmark tracer still finds every name it wraps."""
+
+import importlib.util
+import os
+import sys
+
+import cmclab.harness  # noqa: F401  (binds every module the tracer patches)
+import cmclab.solver as solver
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "benchmarks", "tracer.py")
+
+
+def load_tracer(monkeypatch):
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_resolves_every_target(monkeypatch):
+    # a renamed target would silently read 0 in the per-layer metrics
+    original = solver._node_jacobian
+    tracer = load_tracer(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        assert tracer.notes == []
+        assert solver._node_jacobian is not original
+    finally:
+        tracer.restore()
+    assert solver._node_jacobian is original
