@@ -267,15 +267,16 @@ def build_geometry(graph: SphereGraph, model: mt.MetricModel,
             u=np.ones_like(Hbar),
         )
 
-    g3, dg3, _ = mt.evaluate_metric(model, X)
-    Gam, riem, ric, scal = mt.curvature_tensors(model, X)
+    g3, dg3, ddg3 = mt.evaluate_metric(model, X)
+    Gam, g3inv = mt.christoffel(g3, dg3)
+    _, riem, ric, scal = mt.curvature_tensors(
+        model, X, metric=(g3, dg3, ddg3), connection=(Gam, g3inv))
     gind = _induced(Xth, Xph, g3)
     ginv, det = _inv2(gind)
     if np.min(det) <= 0.0:
         raise GeometryError(
             "degenerate induced metric in background", node_index=int(np.argmin(det))
         )
-    g3inv = np.linalg.inv(g3)
     raised = np.einsum("nij,nj->ni", g3inv, ncov)
     nu = raised / np.sqrt(np.einsum("ni,ni->n", ncov, raised))[:, None]
     h = _second_form(nu, g3, Gam, Xth, Xph, Xthth, Xthph, Xphph)

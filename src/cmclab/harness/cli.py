@@ -71,7 +71,8 @@ def main(argv=None) -> int:
             for check in report["checks"]:
                 mark = "ok  " if check["passed"] else "FAIL"
                 print(f"{mark} {check['name']}: value={check['value']:.3e} "
-                      f"bound={check['bound']:.3e}")
+                      f"bound={check['bound']:.3e}"
+                      + (f" ({check['error']})" if "error" in check else ""))
             n_fail = len(report["failures"])
             print(f"{len(report['checks'])} checks, {n_fail} failures")
             return 0 if n_fail == 0 else 1

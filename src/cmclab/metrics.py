@@ -343,15 +343,20 @@ def christoffel(g, dg):
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, lower), ginv
 
 
-def curvature_tensors(model: MetricModel, x: np.ndarray):
+def curvature_tensors(model: MetricModel, x: np.ndarray, metric=None,
+                      connection=None):
     """Return (Gamma, Riemann, Ricci, R) at points x.
 
     Conventions: Riem[..., l, i, j, k] are the components of R(d_i, d_j)d_k
     in the d_l direction, Ric_jk = Riem^i_ijk, and R = g^jk Ric_jk.  The round
     sphere's Ricci tensor is positive in this convention.
+
+    A caller that already holds ``evaluate_metric(model, x)`` passes it as
+    ``metric``, and ``christoffel`` of it as ``connection``; each is then
+    not computed again.
     """
-    g, dg, ddg = evaluate_metric(model, x)
-    Gam, ginv = christoffel(g, dg)
+    g, dg, ddg = metric if metric is not None else evaluate_metric(model, x)
+    Gam, ginv = connection if connection is not None else christoffel(g, dg)
     # derivative of the inverse: d_m g^ab = -g^ak d_m g_kl g^lb
     dginv = -np.einsum("...ak,...mkl,...lb->...mab", ginv, dg, ginv)
     # d_m Gamma^k_ij

@@ -4,14 +4,18 @@ The mean-curvature operator is quasi-linear in the 6-jet of the graph
 function, so each node's H depends on that node's jet alone.  Perturbing one
 jet component at every node by a tiny imaginary step therefore yields, in a
 single evaluation, the exact partial of H with respect to that component at
-all nodes at once; six such evaluations assemble the full Jacobian without
-truncation error.  A central-difference fallback is available.  Only the
-value jet moves the surface points, so the background metric and its
+all nodes at once; six such evaluations give the node sensitivities G_k
+without truncation error.  A central-difference fallback is available.  Only
+the value jet moves the surface points, so the background metric and its
 Christoffel symbols are evaluated once per Newton iterate and shared by the
 five derivative jets; the value jet evaluates them at its own points.
 
-Grids come from the process-wide cache (``sphere.quadrature_grid``), so the
-basis matrices of a (grid shape, L) pair are built once per process.
+The coefficient Jacobian sum_k B_val^T diag(w G_k) B_k and the Galerkin
+matrices of the stability form are assembled by ``sphere.galerkin`` (sum
+factorisation on the product grid), and jets and residual coefficients come
+from ``synthesize``/``analyze``, so no solve or spectrum forms a dense
+node-by-coefficient matrix.  Grids come from the process-wide cache
+(``sphere.quadrature_grid``).
 
 Also provides the volume-constrained stability spectrum and continuation
 along a mean-curvature ladder (foliation tracing).
@@ -32,8 +36,8 @@ from .errors import (DomainError, EmbeddingError, GeometryError,
 from .functionals import enclosed_volume_flat
 from .geometry import background_at, build_geometry, mean_curvature_from_jets
 from .sphere import (C1_EMBEDDING_BOUND, JET_KEYS, QuadratureGrid,
-                     SphereGraph, SphereJets, _guard_grid, c1_seminorms,
-                     quadrature_grid, synthesize)
+                     SphereGraph, SphereJets, _guard_grid, analyze,
+                     c1_seminorms, galerkin, quadrature_grid, synthesize)
 
 IMAG_STEP = 1e-20
 
@@ -84,14 +88,13 @@ class SolveReport:
         }
 
 
-def _node_jacobian(jets: SphereJets, background, center, scale, model, grid,
-                   basis, opts: CmcOptions) -> np.ndarray:
-    """d(H at node)/d(coefficient) as an (n_nodes, n_coeffs) matrix.
+def _node_sensitivities(jets: SphereJets, background, center, scale, model,
+                        grid, opts: CmcOptions) -> list:
+    """d(H at node)/d(jet field) at every node, one array per ``JET_KEYS``.
 
     ``background`` is ``background_at(jets, ...)``; the five derivative jets
     reuse it, the value jet evaluates the metric at its own moved points.
     """
-    M = np.zeros((grid.n_nodes, basis["val"].shape[1]))
     names = ("f", "dth", "dph", "dthth", "dthph", "dphph")
     arrays = {k: getattr(jets, f) for k, f in zip(JET_KEYS, names)}
 
@@ -101,6 +104,7 @@ def _node_jacobian(jets: SphereJets, background, center, scale, model, grid,
             SphereJets(*(fields[k] for k in JET_KEYS)), center, scale, model,
             grid, background=None if key == "val" else background)
 
+    out = []
     for key in JET_KEYS:
         if opts.jacobian == "exact":
             G = np.imag(H_of(key, arrays[key] + 1j * IMAG_STEP)) / IMAG_STEP
@@ -108,8 +112,20 @@ def _node_jacobian(jets: SphereJets, background, center, scale, model, grid,
             h = opts.central_step
             G = (H_of(key, arrays[key] + h)
                  - H_of(key, arrays[key] - h)) / (2.0 * h)
-        M += G[:, None] * basis[key]
-    return M
+        out.append(G)
+    return out
+
+
+def _node_jacobian(jets: SphereJets, background, center, scale, model, grid,
+                   L: int, opts: CmcOptions) -> np.ndarray:
+    """Coefficient Jacobian d(coefficients of H)/d(coefficients), (n, n).
+
+    The Galerkin sum over the jets of B_val^T diag(w G_k) B_k, with the node
+    sensitivities G_k of ``_node_sensitivities``.
+    """
+    G = _node_sensitivities(jets, background, center, scale, model, grid, opts)
+    w = grid.weights
+    return galerkin(grid, L, [("val", k, w * Gk) for k, Gk in zip(JET_KEYS, G)])
 
 
 def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
@@ -128,10 +144,6 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         raise PreconditionError(f"H_target must be positive; got {H_target!r}")
     L = initial.L
     grid = opts.resolve_grid(L)
-    basis = grid.basis_matrices(L)
-    w = grid.weights
-    # analysis operator: coefficients of a node field
-    A = (basis["val"] * w[:, None]).T
     center = initial.center
     scale = initial.scale
 
@@ -140,7 +152,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         if fmax + gmax >= C1_EMBEDDING_BOUND:
             raise EmbeddingError("trial graph violates the embedding bound",
                                  c1_norm=fmax + gmax)
-        jets = SphereJets(*(basis[k] @ coeffs for k in JET_KEYS))
+        jets = synthesize(coeffs, grid, L)
         background = background_at(jets, center, scale, model, grid)
         H = mean_curvature_from_jets(jets, center, scale, model, grid,
                                      background=background)
@@ -155,7 +167,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
                            H_target=H_target,
                            message=f"initial surface cannot be evaluated: {exc}")
     res = H - H_target
-    F = A @ res
+    F = analyze(res, grid, L)
     norm = float(np.linalg.norm(F))
     bad_steps = 0
     message = ""
@@ -165,9 +177,8 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         if float(np.max(np.abs(res))) <= opts.tolerance:
             break
         iterations += 1
-        M = _node_jacobian(jets, background, center, scale, model, grid,
-                           basis, opts)
-        J = A @ M
+        J = _node_jacobian(jets, background, center, scale, model, grid, L,
+                           opts)
         JtJ = J.T @ J
         lam = opts.ridge * np.trace(JtJ) / JtJ.shape[0]
         JtJ[np.diag_indices_from(JtJ)] += lam
@@ -184,7 +195,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
                 alpha *= opts.armijo_factor
                 continue
             res_trial = Ht_trial - H_target
-            F_trial = A @ res_trial
+            F_trial = analyze(res_trial, grid, L)
             n_trial = float(np.linalg.norm(F_trial))
             if best is None or n_trial < best[0]:
                 best = (n_trial, trial, Ht_trial, jets_trial, bg_trial,
@@ -246,20 +257,15 @@ def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
         grid = _guard_grid(L_op)
     grid.require_capacity(max(L_op, surface.L))
     cache = build_geometry(surface, model, grid)
-    basis = grid.basis_matrices(L_op, keys=("val", "dth", "dph"))
-    B, Bt, Bp = basis["val"], basis["dth"], basis["dph"]
     wj = grid.weights * cache.J
     gi = cache.ginv_ind
-    Q = (
-        Bt.T @ ((wj * gi[:, 0, 0])[:, None] * Bt)
-        + Bt.T @ ((wj * gi[:, 0, 1])[:, None] * Bp)
-        + Bp.T @ ((wj * gi[:, 0, 1])[:, None] * Bt)
-        + Bp.T @ ((wj * gi[:, 1, 1])[:, None] * Bp)
-    )
     pot = cache.tf2 + 0.5 * cache.H**2 + cache.ric_nu_nu
-    Q -= B.T @ ((wj * pot)[:, None] * B)
-    Mass = B.T @ (wj[:, None] * B)
-    constraint = B.T @ wj
+    Q = galerkin(grid, L_op, [
+        ("dth", "dth", wj * gi[:, 0, 0]), ("dth", "dph", wj * gi[:, 0, 1]),
+        ("dph", "dth", wj * gi[:, 0, 1]), ("dph", "dph", wj * gi[:, 1, 1]),
+        ("val", "val", -wj * pot)])
+    Mass = galerkin(grid, L_op, [("val", "val", wj)])
+    constraint = analyze(cache.J, grid, L_op)
     N = null_space(constraint[None, :])
     Qc = N.T @ Q @ N
     Mc = N.T @ Mass @ N

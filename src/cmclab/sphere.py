@@ -9,6 +9,12 @@ and n_phi >= 2L + 1.  Gauss-Legendre nodes never touch the poles, so all
 1/sin(theta) factors below are safe.
 
 Coefficient layout is flat with index l*l + l + m for m in [-l, l].
+
+There is one transform path: ``synthesize`` and ``analyze`` for node values,
+and ``galerkin`` for Galerkin matrices sum(B_a^T diag(W) B_b) of the jet
+fields.  All three use the product structure of the grid (a longitude sum,
+then a colatitude sum per order m), so none of them forms a dense
+node-by-coefficient matrix.
 """
 
 from __future__ import annotations
@@ -50,6 +56,12 @@ def degree_of_index(L: int) -> np.ndarray:
 
 
 JET_KEYS = ("val", "dth", "dph", "dthth", "dthph", "dphph")
+# factors of each jet's basis function: index into theta_block's (P, dP, ddP)
+# and into the longitude factors (T, dT, ddT) of ``galerkin``
+_THETA_FACTOR = {"val": 0, "dth": 1, "dph": 0, "dthth": 2, "dthph": 1,
+                 "dphph": 0}
+_PHI_FACTOR = {"val": 0, "dth": 0, "dph": 1, "dthth": 0, "dthph": 1,
+               "dphph": 2}
 
 
 def _frozen(*arrays) -> tuple:
@@ -57,6 +69,33 @@ def _frozen(*arrays) -> tuple:
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_lm(L: int):
+    """Degree and order of every flat coefficient index, built once per L.
+
+    Returns read-only (ls, ms); coefficient ``idx`` sits at [ms + L, ls] of
+    the (2L+1, L+1) coefficient table.
+    """
+    ls = degree_of_index(L)
+    ms = np.arange(n_coeffs(L)) - ls * ls - ls
+    return _frozen(ls, ms)
+
+
+@functools.lru_cache(maxsize=None)
+def _order_major(L: int):
+    """The flat coefficients sorted by order m, then degree l; built once per L.
+
+    Returns read-only (order, counts, position): ``order`` lists the flat
+    indices in that sequence, ``counts[m + L]`` is the number of degrees of
+    order m, and ``position[idx]`` is the place of ``idx`` in ``order``.
+    """
+    ls, ms = _flat_lm(L)
+    order = np.argsort(ms, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return _frozen(order, np.bincount(ms + L), position)
 
 
 class QuadratureGrid:
@@ -149,18 +188,39 @@ class QuadratureGrid:
             self._cache[key] = _frozen(*_trig_block(L, self.phi))
         return self._cache[key]
 
+    def theta_columns(self, L: int):
+        """(P, dP, ddP) re-laid out per coefficient, each (n_theta, n).
+
+        Column k holds, at every colatitude node, the colatitude factor of
+        the k-th coefficient in order-major sequence (``_order_major``), so
+        the columns of one order m are adjacent.  ``galerkin`` reads its
+        right-hand factors from here.  Cached read-only under
+        ("theta_columns", L).
+        """
+        key = ("theta_columns", L)
+        if key not in self._cache:
+            ls, ms = _flat_lm(L)
+            order = _order_major(L)[0]
+            self._cache[key] = _frozen(*(
+                np.ascontiguousarray(block[ls[order], np.abs(ms[order])].T)
+                for block in self.theta_block(L)))
+        return self._cache[key]
+
     def basis_matrices(self, L: int, keys=JET_KEYS) -> dict:
         """Dense node-by-coefficient matrices of the requested jet fields.
+
+        No cmclab code calls this: solves, spectra and the verify battery
+        assemble their matrices with ``galerkin`` and transform with
+        ``synthesize``/``analyze``.  It is kept because the benchmark's
+        tracer (benchmarks/tracer.py) wraps it by name; it goes when the
+        benchmark drops it.
 
         Keys are drawn from ``JET_KEYS``: 'val', 'dth', 'dph', 'dthth',
         'dthph', 'dphph'.  Each matrix is built on first request, as one
         broadcast product of its theta factor (from ``theta_block``) and phi
-        factor (from ``trig_block``), and cached under ("B", L, key); a caller
-        that needs three keys pays for three.  The matrices are C-contiguous
-        (BLAS products with them then match the per-(l, m) construction bit
-        for bit) and read-only.  They stay cached as long as the grid lives,
-        which for the shared grids of ``quadrature_grid`` is the whole
-        process.
+        factor (from ``trig_block``), and cached under ("B", L, key).  The
+        matrices are C-contiguous and read-only, and stay cached as long as
+        the grid lives.
         """
         out = {}
         for key in keys:
@@ -190,13 +250,11 @@ class QuadratureGrid:
 def quadrature_grid(n_theta: int, n_phi: int) -> QuadratureGrid:
     """The process-wide shared grid of this shape.
 
-    Frames, Legendre blocks and basis matrices are then built once per
-    process for each shape instead of once per grid object.  The cache is
-    unbounded, like the guard-grid dict it replaces: a grid and everything
-    it caches (per L: the Legendre and trig blocks and each requested basis
-    matrix, 8 * n_nodes * (L+1)^2 bytes apiece) live for the life of the
-    process.  A process that works at several L keeps the matrices of every
-    L it has used; ``quadrature_grid.cache_clear()`` drops them all.
+    Frames and Legendre blocks are then built once per process for each
+    shape instead of once per grid object.  The cache is unbounded: a grid
+    and everything it caches (per L: the Legendre and trig blocks and their
+    per-coefficient layout, about 48 * n_theta * (L+1)^2 bytes) live for the
+    life of the process; ``quadrature_grid.cache_clear()`` drops them all.
     """
     return QuadratureGrid(n_theta, n_phi)
 
@@ -300,19 +358,15 @@ def _trig_block(L: int, phi: np.ndarray):
 
 def _coeff_table(coeffs: np.ndarray, L: int) -> np.ndarray:
     """Reshape flat coefficients to a (2L+1, L+1) table indexed [m+L, l]."""
+    ls, ms = _flat_lm(L)
     C = np.zeros((2 * L + 1, L + 1), dtype=coeffs.dtype)
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            C[m + L, l] = coeffs[lm_index(l, m)]
+    C[ms + L, ls] = coeffs
     return C
 
 
 def _table_coeffs(C: np.ndarray, L: int) -> np.ndarray:
-    out = np.zeros(n_coeffs(L), dtype=C.dtype)
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            out[lm_index(l, m)] = C[m + L, l]
-    return out
+    ls, ms = _flat_lm(L)
+    return C[ms + L, ls]
 
 
 @dataclass
@@ -373,6 +427,55 @@ def analyze(values: np.ndarray, grid: QuadratureGrid, L: int) -> np.ndarray:
     for m in range(-L, L + 1):
         C[m + L] = P[:, abs(m), :] @ G[:, m + L]
     return _table_coeffs(C, L)
+
+
+def galerkin(grid: QuadratureGrid, L: int, terms) -> np.ndarray:
+    """Galerkin matrix sum(B_a^T diag(W) B_b) over ``(key_a, key_b, W)`` terms.
+
+    B_key is the node-by-coefficient matrix of a jet field (keys from
+    ``JET_KEYS``) and W a node field; the result is (n, n) in the flat
+    coefficient layout.  Every basis function is a colatitude factor times a
+    longitude factor, so the node sum factors (sum factorisation):
+    - the longitude sum of each term gives an (n_theta, 2L+1, 2L+1) array,
+      and terms with the same pair of colatitude factors are added there;
+    - the colatitude sum is then one GEMM per order m of the row, over all
+      factor pairs at once, against the re-laid-out ``theta_columns``.
+    No node-by-coefficient array is formed.  The longitude sums cost
+    2 n_nodes (2L+1)^2 flops per term and the colatitude GEMMs 2 n^2 n_theta
+    per factor pair, against 2 n^2 n_nodes per term for the dense product;
+    the result agrees with the dense product to round-off.
+    """
+    grid.require_capacity(L)
+    nt, nm, n = grid.n_theta, 2 * L + 1, n_coeffs(L)
+    T, dT = grid.trig_block(L)
+    orders = np.arange(-L, L + 1)
+    phis = (T, dT, -(orders**2)[:, None] * T)
+    sums: dict = {}
+    for key_a, key_b, W in terms:
+        Wg = np.asarray(W, dtype=float).reshape(nt, grid.n_phi)
+        # products of the two longitude factors, one row per (m_a, m_b)
+        trig = phis[_PHI_FACTOR[key_a]][:, None, :] * phis[_PHI_FACTOR[key_b]]
+        part = Wg @ trig.reshape(nm * nm, grid.n_phi).T
+        pair = (_THETA_FACTOR[key_a], _THETA_FACTOR[key_b])
+        sums[pair] = sums[pair] + part if pair in sums else part
+    pairs = list(sums)
+    # longitude sums as [m_a][theta node, m_b], one block per row order
+    by_row = [np.ascontiguousarray(
+        sums[p].reshape(nt, nm, nm).transpose(1, 0, 2)) for p in pairs]
+    blocks = grid.theta_block(L)
+    columns = grid.theta_columns(L)
+    _, counts, position = _order_major(L)
+    right = np.empty((len(pairs) * nt, n))
+    out = np.empty((n, n))   # rows flat, columns order-major
+    for m in orders:
+        for k, (_, b) in enumerate(pairs):
+            np.multiply(np.repeat(by_row[k][m + L], counts, axis=1),
+                        columns[b], out=right[k * nt:(k + 1) * nt])
+        am = abs(int(m))
+        left = np.concatenate([blocks[a][am:, am, :] for a, _ in pairs], axis=1)
+        ls = np.arange(am, L + 1)
+        out[ls * ls + ls + m] = left @ right
+    return out[:, position]
 
 
 def basis_at(unit_vectors: np.ndarray, L: int) -> np.ndarray:

@@ -156,3 +156,21 @@ def test_geometry_cache_summary_keys(grid):
                 "total_gauss_curvature"):
         assert key in summary
     assert summary["total_gauss_curvature"] == pytest.approx(FOUR_PI, rel=1e-9)
+
+
+@pytest.mark.parametrize("model", [mt.euclidean_model(),
+                                   mt.schwarzschild_model(1.0), PERTURBED],
+                         ids=["euclidean", "schwarzschild", "perturbed"])
+def test_build_geometry_evaluates_the_metric_once(model, grid, monkeypatch):
+    calls = {"evaluate_metric": 0, "christoffel": 0}
+    for name in calls:
+        original = getattr(mt, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mt, name, counted)
+    build_geometry(bumpy(5, scale=4.0, center=(8.0, 0.0, 1.0)), model, grid)
+    curved = model.kind != mt.EUCLIDEAN
+    assert calls == {"evaluate_metric": int(curved), "christoffel": int(curved)}

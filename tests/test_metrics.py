@@ -175,3 +175,18 @@ def test_model_guards():
 def test_model_serialization_roundtrip():
     for model in (mt.euclidean_model(), mt.schwarzschild_model(2.5), PERTURBED):
         assert mt.model_from_dict(mt.model_to_dict(model)) == model
+
+
+@pytest.mark.parametrize("model", [mt.schwarzschild_model(1.5), PERTURBED],
+                         ids=["schwarzschild", "perturbed"])
+def test_curvature_tensors_reuse_a_given_metric_bitwise(model, rng):
+    x = 3.0 + 4.0 * rng.random((20, 3))
+    metric = mt.evaluate_metric(model, x)
+    connection = mt.christoffel(metric[0], metric[1])
+    assert np.array_equal(connection[1], np.linalg.inv(metric[0]))
+    want = mt.curvature_tensors(model, x)
+    for got in (mt.curvature_tensors(model, x, metric=metric),
+                mt.curvature_tensors(model, x, metric=metric,
+                                     connection=connection)):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)

@@ -1,9 +1,14 @@
 """Newton CMC solver: round oracles, stability spectra, foliation tracing."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, null_space
 
 import cmclab.solver as solver
 from cmclab import metrics as mt
@@ -11,7 +16,8 @@ from cmclab.errors import PreconditionError
 from cmclab.geometry import (background_at, build_geometry,
                              mean_curvature_from_jets)
 from cmclab.solver import (IMAG_STEP, JET_KEYS, CmcOptions, SolveReport,
-                           _node_jacobian, round_mean_curvature,
+                           _node_jacobian, _node_sensitivities,
+                           round_mean_curvature,
                            round_seed_radius, solve_cmc, stability_spectrum,
                            trace_foliation)
 from cmclab.sphere import (QuadratureGrid, SphereGraph, SphereJets, n_coeffs,
@@ -279,13 +285,13 @@ def test_trace_forces_stability_check():
         assert leaf.stable
 
 
-# --- Jacobian and basis reuse against the per-jet reference ---
+# --- Jacobian, spectrum and basis use against the dense references ---
 
-def reference_node_jacobian(jets, center, scale, model, grid, basis, opts):
+def reference_node_sensitivities(jets, center, scale, model, grid, opts):
     """Every jet evaluates the metric at its own points."""
-    M = np.zeros((grid.n_nodes, basis["val"].shape[1]))
     names = ("f", "dth", "dph", "dthth", "dthph", "dphph")
     arrays = {k: getattr(jets, f) for k, f in zip(JET_KEYS, names)}
+    out = []
     for key in JET_KEYS:
         if opts.jacobian == "exact":
             bumped = dict(arrays)
@@ -304,8 +310,8 @@ def reference_node_jacobian(jets, center, scale, model, grid, basis, opts):
             Hm = mean_curvature_from_jets(SphereJets(*(dn[k] for k in JET_KEYS)),
                                           center, scale, model, grid)
             G = (Hp - Hm) / (2.0 * h)
-        M += G[:, None] * basis[key]
-    return M
+        out.append(G)
+    return out
 
 
 @pytest.mark.parametrize("jacobian", ["exact", "central"])
@@ -317,16 +323,23 @@ def reference_node_jacobian(jets, center, scale, model, grid, basis, opts):
 def test_node_jacobian_matches_per_jet_reference_bitwise(model, jacobian):
     graph = bumpy_seed(3, L=6, amp=0.003, scale=4.0, center=(0.3, 0.0, -0.2))
     grid = QuadratureGrid(12, 24)
-    basis = grid.basis_matrices(graph.L)
     jets = synthesize(graph.coeffs, grid, graph.L)
     opts = CmcOptions(jacobian=jacobian)
     background = background_at(jets, graph.center, graph.scale, model, grid)
     assert (background is None) == (model.kind == mt.EUCLIDEAN)
-    got = _node_jacobian(jets, background, graph.center, graph.scale, model,
-                         grid, basis, opts)
-    want = reference_node_jacobian(jets, graph.center, graph.scale, model,
-                                   grid, basis, opts)
-    assert np.array_equal(got, want)
+    args = (jets, background, graph.center, graph.scale, model, grid)
+    want = reference_node_sensitivities(jets, graph.center, graph.scale,
+                                        model, grid, opts)
+    got = _node_sensitivities(*args, opts)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    # the sum-factorised coefficient Jacobian against the dense A @ M
+    basis = grid.basis_matrices(graph.L)
+    M = sum(G[:, None] * basis[k] for k, G in zip(JET_KEYS, want))
+    dense = (basis["val"] * grid.weights[:, None]).T @ M
+    J = _node_jacobian(*args, graph.L, opts)
+    assert np.max(np.abs(J - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def counting_basis_builds(monkeypatch):
@@ -341,7 +354,7 @@ def counting_basis_builds(monkeypatch):
     return built
 
 
-def test_solves_share_the_basis_and_spectra_build_three_keys(monkeypatch):
+def test_solves_and_spectra_build_no_basis_matrix(monkeypatch):
     quadrature_grid.cache_clear()  # the cache outlives tests
     built = counting_basis_builds(monkeypatch)
     model = mt.schwarzschild_model(1.0)
@@ -350,13 +363,74 @@ def test_solves_share_the_basis_and_spectra_build_three_keys(monkeypatch):
         report = solve_cmc(bumpy_seed(seed, L=6, amp=0.001, scale=5.7), model,
                            round_mean_curvature(model, 6.0), opts)
         assert report.converged and report.stable
-        if seed == 1:
-            first = list(built)
-    solve_grid, spectrum_grid = (32, 64), (14, 26)
-    assert sorted(first) == sorted(
-        [(solve_grid, 6, k) for k in JET_KEYS]
-        + [(spectrum_grid, 6, k) for k in ("val", "dth", "dph")])
-    assert built == first
+        assert np.isfinite(report.stability_eigenvalue)
+    assert built == []
+    for shape in ((32, 64), (14, 26)):
+        grid = quadrature_grid(*shape)
+        assert not [k for k in grid._cache if k[0] == "B"]
+        assert ("theta_columns", 6) in grid._cache
+
+
+def reference_constrained_spectrum(surface, model, k, grid):
+    """The spectrum assembled from the dense basis matrices."""
+    L_op = surface.L
+    cache = build_geometry(surface, model, grid)
+    basis = grid.basis_matrices(L_op, keys=("val", "dth", "dph"))
+    B, Bt, Bp = basis["val"], basis["dth"], basis["dph"]
+    wj = grid.weights * cache.J
+    gi = cache.ginv_ind
+    Q = (Bt.T @ ((wj * gi[:, 0, 0])[:, None] * Bt)
+         + Bt.T @ ((wj * gi[:, 0, 1])[:, None] * Bp)
+         + Bp.T @ ((wj * gi[:, 0, 1])[:, None] * Bt)
+         + Bp.T @ ((wj * gi[:, 1, 1])[:, None] * Bp))
+    pot = cache.tf2 + 0.5 * cache.H**2 + cache.ric_nu_nu
+    Q -= B.T @ ((wj * pot)[:, None] * B)
+    Mass = B.T @ (wj[:, None] * B)
+    N = null_space((B.T @ wj)[None, :])
+    Qc = N.T @ Q @ N
+    Mc = N.T @ Mass @ N
+    return eigh(0.5 * (Qc + Qc.T), 0.5 * (Mc + Mc.T), eigvals_only=True)[:k]
+
+
+@pytest.mark.parametrize("L", [16, 24])
+def test_constrained_spectrum_matches_dense_reference(L):
+    model = mt.perturbed_model(1.0, mt.PerturbationSpec(
+        (mt.PerturbationTerm(2.0, 0.3, 2, 2, ((1.0, (0, 0, 2)),)),)))
+    surface = bumpy_seed(4, L=L, amp=3e-4, scale=8.0, center=(0.2, -0.1, 0.3))
+    grid = QuadratureGrid(2 * (L + 1), 2 * (2 * L + 1))
+    want = reference_constrained_spectrum(surface, model, 4, grid)
+    got = solver._constrained_spectrum(surface, model, 4, grid=grid)
+    assert np.max(np.abs(got - want)) <= 1e-10 * abs(want[0])
+
+
+def test_solve_with_stability_stays_small_at_L32():
+    # dense node-by-coefficient matrices at L=32 (six on the solve grid,
+    # three on the spectrum grid: 343 MB) alone would exceed this bound; BLAS
+    # is pinned to one thread so its per-thread buffers do not count
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from cmclab import metrics as mt
+        from cmclab.solver import round_mean_curvature, solve_cmc
+        from cmclab.sphere import SphereGraph, n_coeffs
+        L = 32
+        c = np.zeros(n_coeffs(L))
+        c[4:] = 4e-4 * np.random.default_rng(1).standard_normal(c.size - 4)
+        model = mt.schwarzschild_model(1.0)
+        report = solve_cmc(SphereGraph(np.zeros(3), 7.6, L, c), model,
+                           round_mean_curvature(model, 8.0))
+        print(report.converged, report.stable,
+              resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    converged, stable, maxrss_kib = proc.stdout.split()
+    assert (converged, stable) == ("True", "True")
+    assert int(maxrss_kib) / 1024.0 <= 350.0
 
 
 def test_trace_foliation_seeds_each_leaf_once(monkeypatch):

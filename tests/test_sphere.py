@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import cmclab.sphere as sphere
 from cmclab.errors import CapacityError, EmbeddingError
-from cmclab.sphere import (JET_KEYS, QuadratureGrid, SphereGraph, _theta_block,
-                           analyze, basis_at, c1_seminorms, corpus_graph,
-                           degree_of_index, index_lm, lm_index,
+from cmclab.sphere import (JET_KEYS, QuadratureGrid, SphereGraph,
+                           _coeff_table, _table_coeffs, _theta_block, analyze,
+                           basis_at, c1_seminorms, corpus_graph,
+                           degree_of_index, galerkin, index_lm, lm_index,
                            moment_normalize, n_coeffs, quadrature_grid,
                            synthesize)
 
@@ -366,6 +367,7 @@ def test_grid_arrays_are_read_only():
             grid.phi, grid.weights, grid.nodes]
     held += list(grid.frames()) + list(grid.theta_block(4))
     held += list(grid.trig_block(4)) + list(grid.basis_matrices(4).values())
+    held += list(grid.theta_columns(4))
     for array in held:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
@@ -377,3 +379,62 @@ def test_sphere_graph_compares_by_identity():
     assert a == a
     assert a != b
     assert len({a, b, a}) == 2
+
+
+# --- coefficient tables against the per-(l, m) loops they replace ---
+
+def reference_coeff_table(coeffs, L):
+    C = np.zeros((2 * L + 1, L + 1), dtype=coeffs.dtype)
+    for l in range(L + 1):
+        for m in range(-l, l + 1):
+            C[m + L, l] = coeffs[lm_index(l, m)]
+    return C
+
+
+def reference_table_coeffs(C, L):
+    out = np.zeros(n_coeffs(L), dtype=C.dtype)
+    for l in range(L + 1):
+        for m in range(-l, l + 1):
+            out[lm_index(l, m)] = C[m + L, l]
+    return out
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 8, 24])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_coeff_tables_match_reference_loops(L, dtype):
+    rng = np.random.default_rng(L)
+    coeffs = rng.standard_normal(n_coeffs(L)).astype(dtype)
+    if dtype is complex:
+        coeffs += 1j * rng.standard_normal(n_coeffs(L))
+    table = _coeff_table(coeffs, L)
+    assert table.dtype == coeffs.dtype
+    assert np.array_equal(table, reference_coeff_table(coeffs, L))
+    full = rng.standard_normal((2 * L + 1, L + 1)).astype(dtype)
+    back = _table_coeffs(full, L)
+    assert back.dtype == full.dtype
+    assert np.array_equal(back, reference_table_coeffs(full, L))
+    assert np.array_equal(_table_coeffs(table, L), coeffs)
+
+
+# --- sum-factorised Galerkin matrices against the dense products ---
+
+@pytest.mark.parametrize("L", [0, 1, 2, 8, 16, 24])
+def test_galerkin_matches_dense_products(L):
+    grid = QuadratureGrid(L + 3, 2 * L + 4)
+    B = reference_basis_matrices(grid, L)
+    rng = np.random.default_rng(L)
+    for key_a in JET_KEYS:
+        for key_b in JET_KEYS:
+            W = rng.standard_normal(grid.n_nodes) * grid.weights
+            want = B[key_a].T @ (W[:, None] * B[key_b])
+            got = galerkin(grid, L, [(key_a, key_b, W)])
+            assert got.shape == (n_coeffs(L), n_coeffs(L))
+            assert (np.max(np.abs(got - want))
+                    <= 1e-13 * np.max(np.abs(want))), (key_a, key_b)
+    # several terms, some sharing a colatitude factor pair, add up
+    Ws = [rng.standard_normal(grid.n_nodes) for _ in JET_KEYS]
+    terms = [("val", k, W) for k, W in zip(JET_KEYS, Ws)]
+    terms += [("dph", "dth", Ws[0]), ("dth", "dth", Ws[1])]
+    want = sum(B[a].T @ (W[:, None] * B[b]) for a, b, W in terms)
+    got = galerkin(grid, L, terms)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
