@@ -75,17 +75,15 @@ def minkowski_deficit(cache: GeometryCache) -> float:
     return cache.integrate_bar(cache.H_bar) - math.sqrt(SIXTEEN_PI * cache.area_bar())
 
 
-def minkowski_quadratic_form(graph: SphereGraph) -> float:
+def minkowski_quadratic_form(c, L: int) -> float:
     """Second-order model of the Minkowski deficit at the unit sphere.
 
-    Spectral evaluation of (1/2pi)(int f)^2 - 2 int f^2 + int |grad f|^2;
+    For the graph r = 1 + f with harmonic coefficients ``c`` of degree <= L,
+    the spectral value of (1/2pi)(int f)^2 - 2 int f^2 + int |grad f|^2;
     vanishes identically on degrees 0 and 1.
     """
-    if abs(graph.scale - 1.0) > 1e-12:
-        raise PreconditionError("quadratic model is taken at the unit sphere; "
-                                f"got scale {graph.scale!r}")
-    c = graph.coeffs
-    mu = degree_of_index(graph.L)
+    c = np.asarray(c, dtype=float)
+    mu = degree_of_index(L)
     mu = mu * (mu + 1)
     return float(2.0 * c[0] ** 2 - 2.0 * np.sum(c**2) + np.sum(mu * c**2))
 
@@ -107,8 +105,7 @@ def taylor_prefactor_fit(mode: tuple[int, int], epsilons,
     L = max(l, 2)
     coeffs = np.zeros(n_coeffs(L))
     coeffs[lm_index(l, m)] = 1.0
-    qform = minkowski_quadratic_form(SphereGraph(np.zeros(3), 1.0, L, coeffs * 1e-6))
-    qform /= 1e-12
+    qform = minkowski_quadratic_form(coeffs, L)
     if abs(qform) < 1e-12:
         raise FitError(f"quadratic form vanishes for degree {l}")
     if grid is None:

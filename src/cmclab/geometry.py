@@ -5,7 +5,10 @@ alongside the metric ones, since all comparison laws are phrased between the
 two.  Sign convention: the round sphere of radius r with outward normal has
 mean curvature H = 2/r > 0 in the flat background.
 
-The node-level algebra is dtype-agnostic; feeding complex jets through
+One node kernel, ``_surface_forms``, computes the induced metric, unit
+normal, second fundamental form and H: ``build_geometry`` calls it for the
+Euclidean and the metric forms, ``mean_curvature_from_jets`` (the solver's
+H) for the metric ones.  It is dtype-agnostic; feeding complex jets through
 ``mean_curvature_from_jets`` yields machine-accurate directional derivatives
 of H (used by the solver's Jacobian).
 """
@@ -129,6 +132,27 @@ def background_at(jets: SphereJets, center, scale, model: mt.MetricModel,
     return _background(model, X)
 
 
+def _surface_forms(chart, ncov, background):
+    """The node kernel: induced metric and normal, second form and H.
+
+    ``chart`` is ``_embedding``'s result, ``ncov`` the outward chart normal
+    X_th x X_ph and ``background`` ``(g3, Gam, g3inv)``, or None for the flat
+    metric.  Returns (g_ind, ginv, det, nu, h, H); complex-safe.
+    """
+    _, Xth, Xph, Xthth, Xthph, Xphph = chart
+    g3, Gam, g3inv = background or (None, None, None)
+    gind = _induced(Xth, Xph, g3)
+    ginv, det = _inv2(gind)
+    if g3 is None:
+        nu = ncov / np.sqrt(_dot(ncov, ncov))[:, None]
+    else:
+        raised = np.einsum("nij,nj->ni", g3inv, ncov)
+        nu = raised / np.sqrt(np.einsum("ni,ni->n", ncov, raised))[:, None]
+    h = _second_form(nu, g3, Gam, Xth, Xph, Xthth, Xthph, Xphph)
+    H = np.einsum("nab,nab->n", ginv, h)
+    return gind, ginv, det, nu, h, H
+
+
 def mean_curvature_from_jets(jets: SphereJets, center, scale, model: mt.MetricModel,
                              grid: QuadratureGrid, background=None):
     """Node-wise mean curvature of the graph described by the jets.
@@ -140,25 +164,14 @@ def mean_curvature_from_jets(jets: SphereJets, center, scale, model: mt.MetricMo
     value field ``f``; passing it skips the metric evaluation.  Without it the
     metric is evaluated at the jets' own (possibly complex) points.
     """
-    frames = grid.frames()
-    X, Xth, Xph, Xthth, Xthph, Xphph = _embedding(jets, center, scale, frames)
+    chart = _embedding(jets, center, scale, grid.frames())
+    X, Xth, Xph = chart[:3]
     if background is None:
         background = _background(model, X)
-    g3, Gam, g3inv = background or (None, None, None)
-    gind = _induced(Xth, Xph, g3)
-    ginv, det = _inv2(gind)
     ncov = _cross(Xth, Xph)
     orient = np.real(_dot(ncov, X - np.asarray(center)[None, :]))
     sign = np.where(orient >= 0.0, 1.0, -1.0)
-    ncov = ncov * sign[:, None]
-    if g3 is None:
-        nu = ncov / np.sqrt(_dot(ncov, ncov))[:, None]
-    else:
-        raised = np.einsum("nij,nj->ni", g3inv, ncov)
-        nu = raised / np.sqrt(np.einsum("ni,ni->n", ncov, raised))[:, None]
-    h = _second_form(nu, g3, Gam, Xth, Xph, Xthth, Xthph, Xphph)
-    H = np.einsum("nab,nab->n", ginv, h)
-    return H
+    return _surface_forms(chart, ncov * sign[:, None], background)[-1]
 
 
 @dataclass
@@ -232,25 +245,22 @@ def build_geometry(graph: SphereGraph, model: mt.MetricModel,
     jets = synthesize(graph.coeffs, grid, graph.L)
     frames = grid.frames()
     st = frames[3]
-    X, Xth, Xph, Xthth, Xthph, Xphph = _embedding(jets, graph.center, graph.scale, frames)
+    chart = _embedding(jets, graph.center, graph.scale, frames)
+    X, Xth, Xph = chart[:3]
     r = np.sqrt(_dot(X, X))
-
-    # Euclidean twin
-    gbar = _induced(Xth, Xph)
-    gbar_inv, det_bar = _inv2(gbar)
-    if np.min(det_bar) <= 0.0:
-        raise GeometryError(
-            "degenerate induced metric", node_index=int(np.argmin(det_bar))
-        )
     ncov = _cross(Xth, Xph)
     orient = _dot(ncov, X - graph.center[None, :])
     if np.min(orient) <= 0.0:
         raise GeometryError(
             "normal orientation flip", node_index=int(np.argmin(orient))
         )
-    nu_bar = ncov / np.sqrt(_dot(ncov, ncov))[:, None]
-    hbar = _second_form(nu_bar, None, None, Xth, Xph, Xthth, Xthph, Xphph)
-    Hbar = np.einsum("nab,nab->n", gbar_inv, hbar)
+
+    # Euclidean twin
+    gbar, gbar_inv, det_bar, nu_bar, hbar, Hbar = _surface_forms(chart, ncov, None)
+    if np.min(det_bar) <= 0.0:
+        raise GeometryError(
+            "degenerate induced metric", node_index=int(np.argmin(det_bar))
+        )
     hbar2 = np.einsum("nac,nbd,nab,ncd->n", gbar_inv, gbar_inv, hbar, hbar)
     tf2_bar = hbar2 - 0.5 * Hbar**2
     Jbar = np.sqrt(det_bar) / st
@@ -271,16 +281,11 @@ def build_geometry(graph: SphereGraph, model: mt.MetricModel,
     Gam, g3inv = mt.christoffel(g3, dg3)
     _, riem, ric, scal = mt.curvature_tensors(
         model, X, metric=(g3, dg3, ddg3), connection=(Gam, g3inv))
-    gind = _induced(Xth, Xph, g3)
-    ginv, det = _inv2(gind)
+    gind, ginv, det, nu, h, H = _surface_forms(chart, ncov, (g3, Gam, g3inv))
     if np.min(det) <= 0.0:
         raise GeometryError(
             "degenerate induced metric in background", node_index=int(np.argmin(det))
         )
-    raised = np.einsum("nij,nj->ni", g3inv, ncov)
-    nu = raised / np.sqrt(np.einsum("ni,ni->n", ncov, raised))[:, None]
-    h = _second_form(nu, g3, Gam, Xth, Xph, Xthth, Xthph, Xphph)
-    H = np.einsum("nab,nab->n", ginv, h)
     h2 = np.einsum("nac,nbd,nab,ncd->n", ginv, ginv, h, h)
     tf2 = h2 - 0.5 * H**2
     J = np.sqrt(det) / st

@@ -155,7 +155,6 @@ SCHEMA = {
     "workers": (_parse_int, 1),
     "solve.tolerance": (_parse_float, 1e-9),
     "solve.max_iterations": (_parse_int, 60),
-    "solve.jacobian": (_parse_str, "exact"),
     "foliate.H_start": (_parse_float, 0.3),
     "foliate.H_end": (_parse_float, 0.03),
     "foliate.n_leaves": (_parse_int, 8),
@@ -243,14 +242,9 @@ class ExperimentConfig:
         return quadrature_grid(n_theta, n_phi)
 
     def solver_options(self) -> CmcOptions:
-        jac = self.values["solve.jacobian"]
-        if jac not in ("exact", "central"):
-            raise ConfigError(f"solve.jacobian: expected 'exact' or 'central', "
-                              f"got {jac!r}")
         return CmcOptions(
             tolerance=self.values["solve.tolerance"],
             max_iterations=self.values["solve.max_iterations"],
-            jacobian=jac,
             grid=self.grid(),
         )
 
@@ -278,7 +272,6 @@ def load_config(path: str | None = None, environ=None,
     # eager validation so bad fields are named before any work starts
     config.model()
     config.grid()
-    config.solver_options()
     if resolved["workers"] < 1:
         raise ConfigError(f"workers: must be >= 1, got {resolved['workers']}")
     for xi in resolved["scan.xis"]:

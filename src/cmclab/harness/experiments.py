@@ -270,8 +270,7 @@ def run_expand(config: ExperimentConfig, out_dir: str) -> tuple[int, list[str]]:
         L = max(l, 2)
         coeffs = np.zeros(n_coeffs(L))
         coeffs[lm_index(l, m)] = 1.0
-        qform = fn.minkowski_quadratic_form(
-            SphereGraph(np.zeros(3), 1.0, L, coeffs * 1e-6)) / 1e-12
+        qform = fn.minkowski_quadratic_form(coeffs, L)
         cache = build_geometry(SphereGraph(np.zeros(3), 1.0, L, coeffs * eps_min),
                                model, grid)
         deficit = fn.minkowski_deficit(cache)

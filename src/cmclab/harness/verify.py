@@ -140,8 +140,7 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
 
         c20 = np.zeros(n_coeffs(2))
         c20[lm_index(2, 0)] = 1.0
-        qf = fn.minkowski_quadratic_form(
-            SphereGraph(np.zeros(3), 1.0, 2, c20 * 1e-6)) / 1e-12
+        qf = fn.minkowski_quadratic_form(c20, 2)
         b.record("quadratic_form_l2", abs(qf - 4.0), 1e-6)
 
         alpha, order = fn.taylor_prefactor_fit((2, 0),
@@ -160,7 +159,7 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
             if mu is None:
                 mu = degree_of_index(8).astype(float)
                 mu = mu * (mu + 1.0)
-            q = 2.0 * c[0] ** 2 - 2.0 * np.sum(c**2) + np.sum(mu * c**2)
+            q = fn.minkowski_quadratic_form(c, 8)
             h1 = np.sum(c**2) + np.sum(mu * c**2)
             worst = max(worst, (h1 / 3.0 - q))
             if worst > 0.0:

@@ -5,10 +5,10 @@ function, so each node's H depends on that node's jet alone.  Perturbing one
 jet component at every node by a tiny imaginary step therefore yields, in a
 single evaluation, the exact partial of H with respect to that component at
 all nodes at once; six such evaluations give the node sensitivities G_k
-without truncation error.  A central-difference fallback is available.  Only
-the value jet moves the surface points, so the background metric and its
-Christoffel symbols are evaluated once per Newton iterate and shared by the
-five derivative jets; the value jet evaluates them at its own points.
+without truncation error.  Only the value jet moves the surface points, so
+the background metric and its Christoffel symbols are evaluated once per
+Newton iterate and shared by the five derivative jets; the value jet
+evaluates them at its own points.
 
 The coefficient Jacobian sum_k B_val^T diag(w G_k) B_k and the Galerkin
 matrices of the stability form are assembled by ``sphere.galerkin`` (sum
@@ -40,21 +40,21 @@ from .sphere import (C1_EMBEDDING_BOUND, JET_KEYS, QuadratureGrid,
                      c1_seminorms, galerkin, quadrature_grid, synthesize)
 
 IMAG_STEP = 1e-20
+# damped steps: backtracking factor, smallest step, sufficient-decrease slope,
+# and the count of steps without decrease that ends the solve
+ARMIJO_FACTOR = 0.5
+ARMIJO_FLOOR = 2.0**-10
+ARMIJO_SLOPE = 1e-4
+MAX_BAD_STEPS = 5
+# ridge added to the diagonal of J^T J, relative to its mean diagonal entry
+RIDGE = 1e-11
 
 
 @dataclass
 class CmcOptions:
     tolerance: float = 1e-9
     max_iterations: int = 60
-    jacobian: str = "exact"          # "exact" or "central"
-    central_step: float = 1e-6
-    armijo_factor: float = 0.5
-    armijo_floor: float = 2.0**-10
-    armijo_slope: float = 1e-4
-    max_bad_steps: int = 5
-    ridge: float = 1e-11
     check_stability: bool = True
-    stability_modes: int = 8
     grid: QuadratureGrid | None = None
 
     def resolve_grid(self, L: int) -> QuadratureGrid:
@@ -89,7 +89,7 @@ class SolveReport:
 
 
 def _node_sensitivities(jets: SphereJets, background, center, scale, model,
-                        grid, opts: CmcOptions) -> list:
+                        grid) -> list:
     """d(H at node)/d(jet field) at every node, one array per ``JET_KEYS``.
 
     ``background`` is ``background_at(jets, ...)``; the five derivative jets
@@ -104,26 +104,18 @@ def _node_sensitivities(jets: SphereJets, background, center, scale, model,
             SphereJets(*(fields[k] for k in JET_KEYS)), center, scale, model,
             grid, background=None if key == "val" else background)
 
-    out = []
-    for key in JET_KEYS:
-        if opts.jacobian == "exact":
-            G = np.imag(H_of(key, arrays[key] + 1j * IMAG_STEP)) / IMAG_STEP
-        else:
-            h = opts.central_step
-            G = (H_of(key, arrays[key] + h)
-                 - H_of(key, arrays[key] - h)) / (2.0 * h)
-        out.append(G)
-    return out
+    return [np.imag(H_of(key, arrays[key] + 1j * IMAG_STEP)) / IMAG_STEP
+            for key in JET_KEYS]
 
 
 def _node_jacobian(jets: SphereJets, background, center, scale, model, grid,
-                   L: int, opts: CmcOptions) -> np.ndarray:
+                   L: int) -> np.ndarray:
     """Coefficient Jacobian d(coefficients of H)/d(coefficients), (n, n).
 
     The Galerkin sum over the jets of B_val^T diag(w G_k) B_k, with the node
     sensitivities G_k of ``_node_sensitivities``.
     """
-    G = _node_sensitivities(jets, background, center, scale, model, grid, opts)
+    G = _node_sensitivities(jets, background, center, scale, model, grid)
     w = grid.weights
     return galerkin(grid, L, [("val", k, w * Gk) for k, Gk in zip(JET_KEYS, G)])
 
@@ -177,22 +169,21 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         if float(np.max(np.abs(res))) <= opts.tolerance:
             break
         iterations += 1
-        J = _node_jacobian(jets, background, center, scale, model, grid, L,
-                           opts)
+        J = _node_jacobian(jets, background, center, scale, model, grid, L)
         JtJ = J.T @ J
-        lam = opts.ridge * np.trace(JtJ) / JtJ.shape[0]
+        lam = RIDGE * np.trace(JtJ) / JtJ.shape[0]
         JtJ[np.diag_indices_from(JtJ)] += lam
         step = cho_solve(cho_factor(JtJ, lower=True), -J.T @ F)
 
         alpha = 1.0
         best = None
         accepted = False
-        while alpha >= opts.armijo_floor:
+        while alpha >= ARMIJO_FLOOR:
             trial = c + alpha * step
             try:
                 Ht_trial, jets_trial, bg_trial = evaluate(trial)
             except (EmbeddingError, DomainError, GeometryError):
-                alpha *= opts.armijo_factor
+                alpha *= ARMIJO_FACTOR
                 continue
             res_trial = Ht_trial - H_target
             F_trial = analyze(res_trial, grid, L)
@@ -200,10 +191,10 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
             if best is None or n_trial < best[0]:
                 best = (n_trial, trial, Ht_trial, jets_trial, bg_trial,
                         res_trial, F_trial)
-            if n_trial <= (1.0 - opts.armijo_slope * alpha) * norm:
+            if n_trial <= (1.0 - ARMIJO_SLOPE * alpha) * norm:
                 accepted = True
                 break
-            alpha *= opts.armijo_factor
+            alpha *= ARMIJO_FACTOR
         if best is None:
             message = "every damped trial violated the embedding or domain bounds"
             break
@@ -211,7 +202,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         grew = n_best >= norm
         norm = n_best
         bad_steps = 0 if (accepted and not grew) else bad_steps + 1
-        if bad_steps >= opts.max_bad_steps:
+        if bad_steps >= MAX_BAD_STEPS:
             message = f"residual failed to decrease over {bad_steps} damped steps"
             break
 
@@ -237,7 +228,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         message=message,
     )
     if converged and opts.check_stability:
-        evals = _constrained_spectrum(surface, model, opts.stability_modes)
+        evals = _constrained_spectrum(surface, model, 1)
         report.stability_eigenvalue = float(evals[0])
         report.stable = bool(evals[0] >= -1e-8)
     return report

@@ -132,25 +132,17 @@ def test_minkowski_deficit_positive_near_round(grid):
 
 @pytest.mark.parametrize("l,m,q", [(2, 0, 4.0), (3, 0, 10.0), (4, 2, 18.0)])
 def test_quadratic_form_spectral_values(l, m, q):
-    # Q(eps Y) = (l(l+1) - 2) eps^2 for a single l >= 2 mode
-    eps = 1e-6
-    val = fn.minkowski_quadratic_form(mode_graph(l, m, eps)) / eps**2
-    assert val == pytest.approx(q, abs=1e-6)
+    # Q(Y) = l(l+1) - 2 for a single unit l >= 2 mode, exact in floating point
+    c = np.zeros(n_coeffs(l))
+    c[lm_index(l, m)] = 1.0
+    assert fn.minkowski_quadratic_form(c, l) == q
 
 
 def test_quadratic_form_mean_mode():
-    eps = 1e-6
-    g = SphereGraph(np.zeros(3), 1.0, 2,
-                    np.array([eps, 0, 0, 0, 0, 0, 0, 0, 0], dtype=float))
-    # 2 c00^2 - 2 c00^2 + 0: the mean mode carries zero net weight... the
-    # spectral weights give 2 - 2 = 0 for l = 0
-    assert fn.minkowski_quadratic_form(g) / eps**2 == pytest.approx(0.0, abs=1e-9)
-
-
-def test_quadratic_form_requires_unit_scale():
-    g = SphereGraph(np.zeros(3), 2.0, 2, np.zeros(9))
-    with pytest.raises(PreconditionError):
-        fn.minkowski_quadratic_form(g)
+    # the mean mode carries zero net weight: 2 c00^2 - 2 c00^2 + 0
+    c = np.zeros(n_coeffs(2))
+    c[0] = 1e-6
+    assert fn.minkowski_quadratic_form(c, 2) == 0.0
 
 
 def test_taylor_prefactor_is_half():

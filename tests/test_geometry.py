@@ -7,10 +7,11 @@ import pytest
 
 from cmclab import metrics as mt
 from cmclab.errors import PreconditionError
-from cmclab.geometry import (area_element_comparison_residual, build_geometry,
-                             gauss_curvature_check,
-                             mean_curvature_comparison_residual)
-from cmclab.sphere import SphereGraph, lm_index, n_coeffs
+from cmclab.geometry import (area_element_comparison_residual, background_at,
+                             build_geometry, gauss_curvature_check,
+                             mean_curvature_comparison_residual,
+                             mean_curvature_from_jets)
+from cmclab.sphere import SphereGraph, lm_index, n_coeffs, synthesize
 
 FOUR_PI = 4.0 * math.pi
 
@@ -174,3 +175,21 @@ def test_build_geometry_evaluates_the_metric_once(model, grid, monkeypatch):
     build_geometry(bumpy(5, scale=4.0, center=(8.0, 0.0, 1.0)), model, grid)
     curved = model.kind != mt.EUCLIDEAN
     assert calls == {"evaluate_metric": int(curved), "christoffel": int(curved)}
+
+
+@pytest.mark.parametrize("model", [mt.euclidean_model(),
+                                   mt.schwarzschild_model(1.0), PERTURBED],
+                         ids=["euclidean", "schwarzschild", "perturbed"])
+def test_build_geometry_matches_the_node_kernel_bitwise(model, grid):
+    # the cache and the solver's H come from the same node kernel
+    graph = bumpy(5, scale=4.0, center=(8.0, 0.0, 1.0))
+    cache = build_geometry(graph, model, grid)
+    jets = synthesize(graph.coeffs, grid, graph.L)
+
+    def solver_H(m):
+        background = background_at(jets, graph.center, graph.scale, m, grid)
+        return mean_curvature_from_jets(jets, graph.center, graph.scale, m,
+                                        grid, background=background)
+
+    assert np.array_equal(cache.H, solver_H(model))
+    assert np.array_equal(cache.H_bar, solver_H(mt.euclidean_model()))

@@ -556,7 +556,11 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert cli.main(["scan", "--out", out, "--set", "grid.L"]) == 2
     assert cli.main(["expand", "--out", out,
                      "--set", "expand.epsilons=1e-3,1e-2,1e-1"]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert cli.main(["scan", "--out", out,
+                     "--set", "solve.jacobian=exact"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "unknown configuration key 'solve.jacobian'" in err
 
 
 def test_cli_scan_smoke(tmp_path, capsys):

@@ -162,19 +162,6 @@ def test_iteration_cap_reports_honestly():
     assert not report.stable
 
 
-def test_jacobian_variants_agree():
-    # Schwarzschild pins the center, so both variants land on the same surface
-    model = mt.schwarzschild_model(1.0)
-    target = round_mean_curvature(model, 6.0)
-    seed = bumpy_seed(3, L=6, amp=0.002, scale=5.8)
-    exact = solve_cmc(seed, model, target, CmcOptions(tolerance=1e-10))
-    central = solve_cmc(seed, model, target,
-                        CmcOptions(tolerance=1e-10, jacobian="central"))
-    assert exact.converged and central.converged
-    np.testing.assert_allclose(central.surface.coeffs, exact.surface.coeffs,
-                               atol=1e-7)
-
-
 # --- constrained stability spectrum ---
 
 def test_euclid_spectrum_closed_form():
@@ -214,7 +201,7 @@ def test_unstable_leaf_detected():
     cache = build_geometry(surface, STRONG_XX, QuadratureGrid(34, 68))
     target = cache.integrate(cache.H) / cache.area()
     report = solve_cmc(surface, STRONG_XX, target,
-                       CmcOptions(tolerance=1e-8, stability_modes=4))
+                       CmcOptions(tolerance=1e-8))
     assert report.converged
     assert report.stability_eigenvalue < -1e-3
     assert not report.stable
@@ -287,50 +274,37 @@ def test_trace_forces_stability_check():
 
 # --- Jacobian, spectrum and basis use against the dense references ---
 
-def reference_node_sensitivities(jets, center, scale, model, grid, opts):
+def reference_node_sensitivities(jets, center, scale, model, grid):
     """Every jet evaluates the metric at its own points."""
     names = ("f", "dth", "dph", "dthth", "dthph", "dphph")
     arrays = {k: getattr(jets, f) for k, f in zip(JET_KEYS, names)}
     out = []
     for key in JET_KEYS:
-        if opts.jacobian == "exact":
-            bumped = dict(arrays)
-            bumped[key] = arrays[key] + 1j * IMAG_STEP
-            jp = SphereJets(*(bumped[k] for k in JET_KEYS))
-            G = np.imag(
-                mean_curvature_from_jets(jp, center, scale, model, grid)
-            ) / IMAG_STEP
-        else:
-            h = opts.central_step
-            up, dn = dict(arrays), dict(arrays)
-            up[key] = arrays[key] + h
-            dn[key] = arrays[key] - h
-            Hp = mean_curvature_from_jets(SphereJets(*(up[k] for k in JET_KEYS)),
-                                          center, scale, model, grid)
-            Hm = mean_curvature_from_jets(SphereJets(*(dn[k] for k in JET_KEYS)),
-                                          center, scale, model, grid)
-            G = (Hp - Hm) / (2.0 * h)
+        bumped = dict(arrays)
+        bumped[key] = arrays[key] + 1j * IMAG_STEP
+        jp = SphereJets(*(bumped[k] for k in JET_KEYS))
+        G = np.imag(
+            mean_curvature_from_jets(jp, center, scale, model, grid)
+        ) / IMAG_STEP
         out.append(G)
     return out
 
 
-@pytest.mark.parametrize("jacobian", ["exact", "central"])
 @pytest.mark.parametrize("model", [
     mt.euclidean_model(), mt.schwarzschild_model(1.0),
     mt.perturbed_model(1.0, mt.PerturbationSpec(
         (mt.PerturbationTerm(3.0, 0.3, 2, 2, ((1.0, (0, 0, 2)),)),)))],
     ids=["euclidean", "schwarzschild", "perturbed"])
-def test_node_jacobian_matches_per_jet_reference_bitwise(model, jacobian):
+def test_node_jacobian_matches_per_jet_reference_bitwise(model):
     graph = bumpy_seed(3, L=6, amp=0.003, scale=4.0, center=(0.3, 0.0, -0.2))
     grid = QuadratureGrid(12, 24)
     jets = synthesize(graph.coeffs, grid, graph.L)
-    opts = CmcOptions(jacobian=jacobian)
     background = background_at(jets, graph.center, graph.scale, model, grid)
     assert (background is None) == (model.kind == mt.EUCLIDEAN)
     args = (jets, background, graph.center, graph.scale, model, grid)
     want = reference_node_sensitivities(jets, graph.center, graph.scale,
-                                        model, grid, opts)
-    got = _node_sensitivities(*args, opts)
+                                        model, grid)
+    got = _node_sensitivities(*args)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -338,7 +312,7 @@ def test_node_jacobian_matches_per_jet_reference_bitwise(model, jacobian):
     basis = grid.basis_matrices(graph.L)
     M = sum(G[:, None] * basis[k] for k, G in zip(JET_KEYS, want))
     dense = (basis["val"] * grid.weights[:, None]).T @ M
-    J = _node_jacobian(*args, graph.L, opts)
+    J = _node_jacobian(*args, graph.L)
     assert np.max(np.abs(J - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -358,10 +332,9 @@ def test_solves_and_spectra_build_no_basis_matrix(monkeypatch):
     quadrature_grid.cache_clear()  # the cache outlives tests
     built = counting_basis_builds(monkeypatch)
     model = mt.schwarzschild_model(1.0)
-    opts = CmcOptions(stability_modes=4)
     for seed in (1, 2):
         report = solve_cmc(bumpy_seed(seed, L=6, amp=0.001, scale=5.7), model,
-                           round_mean_curvature(model, 6.0), opts)
+                           round_mean_curvature(model, 6.0))
         assert report.converged and report.stable
         assert np.isfinite(report.stability_eigenvalue)
     assert built == []

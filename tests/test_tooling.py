@@ -1,4 +1,5 @@
-"""The benchmark tracer still finds every name it wraps."""
+"""Files outside the package stay in step with it: the benchmark tracer
+still finds every name it wraps, and README documents every config key."""
 
 import importlib.util
 import os
@@ -6,9 +7,10 @@ import sys
 
 import cmclab.harness  # noqa: F401  (binds every module the tracer patches)
 import cmclab.solver as solver
+from cmclab.harness.config import SCHEMA
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "benchmarks", "tracer.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER = os.path.join(ROOT, "benchmarks", "tracer.py")
 
 
 def load_tracer(monkeypatch):
@@ -31,3 +33,16 @@ def test_tracer_resolves_every_target(monkeypatch):
     finally:
         tracer.restore()
     assert solver._node_jacobian is original
+
+
+def test_readme_config_table_matches_schema():
+    # a removed key must not stay documented, nor a new one go undocumented
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    keys = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        keys.append(line.split("`")[1])
+    assert sorted(keys) == sorted(SCHEMA)
