@@ -11,6 +11,11 @@ Euclidean and the metric forms, ``mean_curvature_from_jets`` (the solver's
 H) for the metric ones.  It is dtype-agnostic; feeding complex jets through
 ``mean_curvature_from_jets`` yields machine-accurate directional derivatives
 of H (used by the solver's Jacobian).
+
+Every tangential contraction T(X_a, X_b) of an ambient symmetric 2-tensor
+(the induced metric, the Christoffel term of h, the perturbation and its
+derivatives in the comparison laws) goes through ``_pullback``; ``_trace``
+and ``_inner`` contract the result with the inverse induced metric.
 """
 
 from __future__ import annotations
@@ -65,22 +70,40 @@ def _dot(a, b):
     return np.sum(a * b, axis=-1)
 
 
-def _induced(Xth, Xph, g3=None):
-    """Induced 2-metric components as a (N, 2, 2) stack."""
-    if g3 is None:
-        g_tt = _dot(Xth, Xth)
-        g_tp = _dot(Xth, Xph)
-        g_pp = _dot(Xph, Xph)
-    else:
-        g_tt = np.einsum("nij,ni,nj->n", g3, Xth, Xth)
-        g_tp = np.einsum("nij,ni,nj->n", g3, Xth, Xph)
-        g_pp = np.einsum("nij,ni,nj->n", g3, Xph, Xph)
-    g = np.empty(Xth.shape[:-1] + (2, 2),
-                 dtype=np.result_type(g_tt, g_tp, g_pp))
-    g[..., 0, 0] = g_tt
-    g[..., 0, 1] = g[..., 1, 0] = g_tp
-    g[..., 1, 1] = g_pp
-    return g
+def _contract(T, *vectors):
+    """T(..., v1, ..., vk): the trailing indices of a node-wise tensor
+    contracted with node-wise vectors, one index at a time."""
+    for v in reversed(vectors):
+        T = np.einsum("n...k,nk->n...", T, v)
+    return T
+
+
+def _sym2(tt, tp, pp):
+    """The symmetric (N, 2, 2) stack with entries tt, tp, pp."""
+    out = np.empty(tt.shape + (2, 2), dtype=np.result_type(tt, tp, pp))
+    out[..., 0, 0] = tt
+    out[..., 0, 1] = out[..., 1, 0] = tp
+    out[..., 1, 1] = pp
+    return out
+
+
+def _pullback(T, Xth, Xph):
+    """T(X_a, X_b) of a symmetric ambient 2-tensor T, as an (N, 2, 2) stack.
+
+    ``T=None`` is the flat dot product.  Complex-safe: no conjugation.
+    """
+    Tth, Tph = (Xth, Xph) if T is None else (_contract(T, Xth), _contract(T, Xph))
+    return _sym2(_dot(Xth, Tth), _dot(Xth, Tph), _dot(Xph, Tph))
+
+
+def _trace(ginv, P):
+    """g^ab P_ab."""
+    return np.einsum("nab,nab->n", ginv, P)
+
+
+def _inner(ginv, A, B):
+    """g^ac g^bd A_ab B_cd."""
+    return _trace(ginv @ A @ ginv, B)
 
 
 def _inv2(g):
@@ -92,22 +115,15 @@ def _inv2(g):
     return inv, det
 
 
-def _second_form(nu_vec, g3, Gam, Xth, Xph, Xthth, Xthph, Xphph):
-    """h_ab = -g(nu, ambient second derivative of the immersion)."""
-    nu_cov = np.einsum("nij,nj->ni", g3, nu_vec) if g3 is not None else nu_vec
-    tangents = (Xth, Xph)
-    seconds = {(0, 0): Xthth, (0, 1): Xthph, (1, 1): Xphph}
-    dtype = np.result_type(nu_cov, Xth, Xthth, Xthph, Xphph)
-    h = np.empty(Xth.shape[:-1] + (2, 2), dtype=dtype)
-    for (a, b), Xab in seconds.items():
-        acc = np.einsum("ni,ni->n", nu_cov, Xab)
-        if Gam is not None:
-            acc = acc + np.einsum(
-                "nk,nkij,ni,nj->n", nu_cov, Gam, tangents[a], tangents[b]
-            )
-        h[..., a, b] = -acc
-        h[..., b, a] = -acc
-    return h
+def _second_form(nu_cov, Gam, Xth, Xph, Xthth, Xthph, Xphph):
+    """h_ab = -g(nu, ambient second derivative of the immersion).
+
+    ``nu_cov`` is the unit normal lowered by the metric.
+    """
+    h = _sym2(_dot(nu_cov, Xthth), _dot(nu_cov, Xthph), _dot(nu_cov, Xphph))
+    if Gam is not None:
+        h = h + _pullback(np.einsum("nk,nkij->nij", nu_cov, Gam), Xth, Xph)
+    return -h
 
 
 def _background(model: mt.MetricModel, X):
@@ -141,16 +157,14 @@ def _surface_forms(chart, ncov, background):
     """
     _, Xth, Xph, Xthth, Xthph, Xphph = chart
     g3, Gam, g3inv = background or (None, None, None)
-    gind = _induced(Xth, Xph, g3)
+    gind = _pullback(g3, Xth, Xph)
     ginv, det = _inv2(gind)
-    if g3 is None:
-        nu = ncov / np.sqrt(_dot(ncov, ncov))[:, None]
-    else:
-        raised = np.einsum("nij,nj->ni", g3inv, ncov)
-        nu = raised / np.sqrt(np.einsum("ni,ni->n", ncov, raised))[:, None]
-    h = _second_form(nu, g3, Gam, Xth, Xph, Xthth, Xthph, Xphph)
-    H = np.einsum("nab,nab->n", ginv, h)
-    return gind, ginv, det, nu, h, H
+    # ncov annihilates the tangents: nu = g3^-1 ncov / |ncov|_g3, and g3 nu
+    # is ncov / |ncov|_g3 without a product by g3
+    raised = ncov if g3 is None else _contract(g3inv, ncov)
+    norm = np.sqrt(_dot(ncov, raised))[:, None]
+    h = _second_form(ncov / norm, Gam, Xth, Xph, Xthth, Xthph, Xphph)
+    return gind, ginv, det, raised / norm, h, _trace(ginv, h)
 
 
 def mean_curvature_from_jets(jets: SphereJets, center, scale, model: mt.MetricModel,
@@ -261,8 +275,7 @@ def build_geometry(graph: SphereGraph, model: mt.MetricModel,
         raise GeometryError(
             "degenerate induced metric", node_index=int(np.argmin(det_bar))
         )
-    hbar2 = np.einsum("nac,nbd,nab,ncd->n", gbar_inv, gbar_inv, hbar, hbar)
-    tf2_bar = hbar2 - 0.5 * Hbar**2
+    tf2_bar = _inner(gbar_inv, hbar, hbar) - 0.5 * Hbar**2
     Jbar = np.sqrt(det_bar) / st
     Kbar = (hbar[..., 0, 0] * hbar[..., 1, 1] - hbar[..., 0, 1] ** 2) / det_bar
 
@@ -286,20 +299,14 @@ def build_geometry(graph: SphereGraph, model: mt.MetricModel,
         raise GeometryError(
             "degenerate induced metric in background", node_index=int(np.argmin(det))
         )
-    h2 = np.einsum("nac,nbd,nab,ncd->n", ginv, ginv, h, h)
-    tf2 = h2 - 0.5 * H**2
+    tf2 = _inner(ginv, h, h) - 0.5 * H**2
     J = np.sqrt(det) / st
-    ric_nn = np.einsum("njk,nj,nk->n", ric, nu, nu)
+    ric_nn = _contract(ric, nu, nu)
 
-    # Gauss curvature: ambient sectional curvature of the tangent plane plus
-    # the shape-operator determinant.
-    e1 = Xth / np.sqrt(np.einsum("nij,ni,nj->n", g3, Xth, Xth))[:, None]
-    proj = np.einsum("nij,ni,nj->n", g3, Xph, e1)
-    w = Xph - proj[:, None] * e1
-    e2 = w / np.sqrt(np.einsum("nij,ni,nj->n", g3, w, w))[:, None]
-    vec = np.einsum("nlijk,ni,nj,nk->nl", riem, e1, e2, e2)
-    sec = np.einsum("nlm,nl,nm->n", g3, vec, e1)
-    K = sec + (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] ** 2) / det
+    # Gauss curvature: ambient sectional curvature of the tangent plane,
+    # Rm(X_th, X_ph, X_ph, X_th) / det g, plus the shape-operator determinant.
+    sec = _contract(g3, _contract(riem, Xth, Xph, Xph), Xth)
+    K = (sec + h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] ** 2) / det
 
     u, _, _ = mt.conformal_factor(model, X)
     return GeometryCache(
@@ -327,14 +334,7 @@ def area_element_comparison_residual(cache: GeometryCache) -> np.ndarray:
     """
     _require_curved(cache, "area element comparison")
     sig, _, _ = mt.sigma_with_derivatives(cache.model, cache.X)
-    sig_tt = np.einsum("nij,ni,nj->n", sig, cache.Xth, cache.Xth)
-    sig_tp = np.einsum("nij,ni,nj->n", sig, cache.Xth, cache.Xph)
-    sig_pp = np.einsum("nij,ni,nj->n", sig, cache.Xph, cache.Xph)
-    tr = (
-        cache.ginv_ind[..., 0, 0] * sig_tt
-        + 2.0 * cache.ginv_ind[..., 0, 1] * sig_tp
-        + cache.ginv_ind[..., 1, 1] * sig_pp
-    )
+    tr = _trace(cache.ginv_ind, _pullback(sig, cache.Xth, cache.Xph))
     return cache.J / cache.J_bar - cache.u**4 * (1.0 + 0.5 * tr)
 
 
@@ -355,27 +355,16 @@ def mean_curvature_comparison_residual(cache: GeometryCache) -> np.ndarray:
 
     if cache.model.kind == mt.PERTURBED:
         sig, dsig, _ = mt.sigma_with_derivatives(cache.model, cache.X)
-        tang = (cache.Xth, cache.Xph)
-        sig_ab = np.empty_like(cache.g_ind)
-        for a in range(2):
-            for b in range(2):
-                sig_ab[..., a, b] = np.einsum("nij,ni,nj->n", sig, tang[a], tang[b])
+        ginv, nu, Xth, Xph = cache.ginv_ind, cache.nu, cache.Xth, cache.Xph
         # <sigma, h> over the surface with the induced metric
-        sig_h = np.einsum("nac,nbd,nab,ncd->n", cache.ginv_ind, cache.ginv_ind,
-                          sig_ab, cache.h)
-        sig_nn = np.einsum("nij,ni,nj->n", sig, cache.nu, cache.nu)
-        # tr (grad_. sigma)(nu, .) and tr grad_nu sigma over tangent directions
-        div_term = np.zeros_like(cache.H)
-        nu_term = np.zeros_like(cache.H)
-        for a in range(2):
-            for b in range(2):
-                gab = cache.ginv_ind[..., a, b]
-                div_term = div_term + gab * np.einsum(
-                    "nk,nkij,ni,nj->n", tang[a], dsig, cache.nu, tang[b]
-                )
-                nu_term = nu_term + gab * np.einsum(
-                    "nk,nkij,ni,nj->n", cache.nu, dsig, tang[a], tang[b]
-                )
+        sig_h = _inner(ginv, _pullback(sig, Xth, Xph), cache.h)
+        sig_nn = _contract(sig, nu, nu)
+        # tr (grad_. sigma)(nu, .) over tangent directions: A_kj = d_k sigma_ij
+        # nu^i is not symmetric, but g^ab is, so its symmetric part is traced
+        A = _contract(dsig, nu)
+        div_term = _trace(ginv, _pullback(0.5 * (A + np.swapaxes(A, 1, 2)), Xth, Xph))
+        # tr grad_nu sigma over tangent directions
+        nu_term = _trace(ginv, _pullback(np.einsum("nk,nkij->nij", nu, dsig), Xth, Xph))
         rhs = rhs - sig_h + 0.5 * cache.H * sig_nn - div_term + 0.5 * nu_term
     return cache.u**2 * cache.H - rhs
 

@@ -9,7 +9,10 @@ Three model kinds are supported:
 
 Every evaluation returns the tensor together with its first and second
 coordinate derivatives in closed form, so downstream curvature assembly never
-relies on numerical differentiation.  All evaluators accept arrays of points
+relies on numerical differentiation.  The derivative of the Christoffel
+symbols is assembled as g^kl (1/2 d_m lower_lij - d_m g_ln Gamma^n_ij) from
+one first-kind combination ``lower`` of dg and ddg, without the derivative
+of the inverse metric.  All evaluators accept arrays of points
 with shape (..., 3) and preserve the input dtype; complex inputs are allowed
 (used for step-free directional derivatives elsewhere).
 """
@@ -335,12 +338,16 @@ def evaluate_metric(model: MetricModel, x: np.ndarray):
     return g, dg, ddg
 
 
+def _first_kind(dg):
+    """d_i g_lj + d_j g_il - d_l g_ij at [..., l, i, j] from dg[..., k, i, j]
+    = d_k g_ij; any leading derivative index (as in ddg) is carried along."""
+    return np.swapaxes(dg, -3, -2) + np.einsum("...jil->...lij", dg) - dg
+
+
 def christoffel(g, dg):
     """Gamma^k_ij = 1/2 g^kl (d_i g_lj + d_j g_il - d_l g_ij)."""
     ginv = np.linalg.inv(g)
-    # dg[..., k, i, j] = d_k g_ij; lower[..., l, i, j] = d_i g_lj + d_j g_il - d_l g_ij
-    lower = np.swapaxes(dg, -3, -2) + np.einsum("...jil->...lij", dg) - dg
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, lower), ginv
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _first_kind(dg)), ginv
 
 
 def curvature_tensors(model: MetricModel, x: np.ndarray, metric=None,
@@ -357,15 +364,10 @@ def curvature_tensors(model: MetricModel, x: np.ndarray, metric=None,
     """
     g, dg, ddg = metric if metric is not None else evaluate_metric(model, x)
     Gam, ginv = connection if connection is not None else christoffel(g, dg)
-    # derivative of the inverse: d_m g^ab = -g^ak d_m g_kl g^lb
-    dginv = -np.einsum("...ak,...mkl,...lb->...mab", ginv, dg, ginv)
-    # d_m Gamma^k_ij
-    lower = np.swapaxes(dg, -3, -2) + np.einsum("...jil->...lij", dg) - dg
-    dlower = np.swapaxes(ddg, -3, -2) + np.einsum("...mjil->...mlij", ddg) - ddg
-    dGam = 0.5 * (
-        np.einsum("...mkl,...lij->...mkij", dginv, lower)
-        + np.einsum("...kl,...mlij->...mkij", ginv, dlower)
-    )
+    # d_m Gamma^k_ij = g^kl (1/2 d_m lower_lij - d_m g_ln Gamma^n_ij), with
+    # lower the first-kind combination; no derivative of the inverse is formed
+    dGam = np.einsum("...kl,...mlij->...mkij", ginv, 0.5 * _first_kind(ddg)
+                     - np.einsum("...mln,...nij->...mlij", dg, Gam))
     riem = (
         np.einsum("...iljk->...lijk", dGam)
         - np.einsum("...jlik->...lijk", dGam)

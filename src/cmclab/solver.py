@@ -48,6 +48,9 @@ ARMIJO_SLOPE = 1e-4
 MAX_BAD_STEPS = 5
 # ridge added to the diagonal of J^T J, relative to its mean diagonal entry
 RIDGE = 1e-11
+# radii that bracket round_seed_radius's root search
+SEED_R_MIN = 2.05
+SEED_R_MAX = 1e8
 
 
 @dataclass
@@ -283,34 +286,28 @@ def round_mean_curvature(model: mt.MetricModel, r: float) -> float:
     return (2.0 / r) * (1.0 - m / (2.0 * r)) / u**3
 
 
-def round_seed_radius(model: mt.MetricModel, H_target: float,
-                      r_min: float = 2.05, r_max: float = 1e8) -> float:
+def round_seed_radius(model: mt.MetricModel, H_target: float) -> float:
     """Radius of the centered round sphere with mean curvature H_target.
 
-    Takes the outer root (H is not monotone near the neck for positive mass).
+    Takes the outer root: for positive mass H rises to its peak at
+    r* = m (2 + sqrt 3) / 2 (x = m/2r is the smaller root of x^2 - 4x + 1)
+    and falls monotonically beyond it, so one bracket from max(r*,
+    SEED_R_MIN) to SEED_R_MAX holds the root.
     """
     if H_target <= 0.0:
         raise PreconditionError(f"H_target must be positive; got {H_target!r}")
-    lo = max(r_min, 0.51 * model.mass)
-    rs = np.geomspace(lo, r_max, 4000)
-    Hs = np.array([round_mean_curvature(model, r) for r in rs])
-    peak = int(np.argmax(Hs))
-    if H_target > Hs[peak]:
+    lo = max(SEED_R_MIN, 0.5 * (2.0 + math.sqrt(3.0)) * model.mass)
+    H_peak = round_mean_curvature(model, lo)
+    if H_target > H_peak:
         raise PreconditionError(
             f"H_target {H_target!r} exceeds the maximal round-sphere mean "
-            f"curvature {Hs[peak]:.6g} for this model"
+            f"curvature {H_peak:.6g} for this model"
         )
-    tail = np.nonzero(Hs[peak:] <= H_target)[0]
-    if tail.size == 0:
-        raise PreconditionError(f"no round sphere below radius {r_max} has "
+    if round_mean_curvature(model, SEED_R_MAX) > H_target:
+        raise PreconditionError(f"no round sphere below radius {SEED_R_MAX} has "
                                 f"mean curvature {H_target!r}")
-    hi_idx = peak + tail[0]
-    a = rs[max(hi_idx - 1, 0)]
-    b = rs[hi_idx]
-    if a == b:
-        return float(a)
     return float(brentq(lambda r: round_mean_curvature(model, r) - H_target,
-                        a, b, xtol=1e-13, rtol=8.9e-16))
+                        lo, SEED_R_MAX, xtol=1e-13, rtol=8.9e-16))
 
 
 @dataclass

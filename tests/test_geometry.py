@@ -7,11 +7,14 @@ import pytest
 
 from cmclab import metrics as mt
 from cmclab.errors import PreconditionError
-from cmclab.geometry import (area_element_comparison_residual, background_at,
-                             build_geometry, gauss_curvature_check,
+from cmclab.geometry import (_background, _cross, _embedding, _inv2,
+                             _surface_forms, area_element_comparison_residual,
+                             background_at, build_geometry,
+                             gauss_curvature_check,
                              mean_curvature_comparison_residual,
                              mean_curvature_from_jets)
-from cmclab.sphere import SphereGraph, lm_index, n_coeffs, synthesize
+from cmclab.sphere import (SphereGraph, SphereJets, lm_index, n_coeffs,
+                           synthesize)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -193,3 +196,126 @@ def test_build_geometry_matches_the_node_kernel_bitwise(model, grid):
 
     assert np.array_equal(cache.H, solver_H(model))
     assert np.array_equal(cache.H_bar, solver_H(mt.euclidean_model()))
+
+
+# The seed's node kernel and comparison laws, one einsum per tangential
+# contraction and nu lowered by g3: the references of the pullback helpers.
+
+def reference_surface_forms(chart, ncov, background):
+    _, Xth, Xph, Xthth, Xthph, Xphph = chart
+    g3, Gam, g3inv = background or (None, None, None)
+    tangents = (Xth, Xph)
+    gind = np.empty(Xth.shape[:-1] + (2, 2), dtype=Xth.dtype)
+    for a in range(2):
+        for b in range(2):
+            gind[..., a, b] = (np.sum(tangents[a] * tangents[b], axis=-1)
+                               if g3 is None else
+                               np.einsum("nij,ni,nj->n", g3, tangents[a], tangents[b]))
+    ginv, det = _inv2(gind)
+    if g3 is None:
+        nu = ncov / np.sqrt(np.sum(ncov * ncov, axis=-1))[:, None]
+    else:
+        raised = np.einsum("nij,nj->ni", g3inv, ncov)
+        nu = raised / np.sqrt(np.einsum("ni,ni->n", ncov, raised))[:, None]
+    nu_cov = np.einsum("nij,nj->ni", g3, nu) if g3 is not None else nu
+    seconds = {(0, 0): Xthth, (0, 1): Xthph, (1, 1): Xphph}
+    h = np.empty_like(gind, dtype=np.result_type(nu_cov, Xthth, Xthph, Xphph))
+    for (a, b), Xab in seconds.items():
+        acc = np.einsum("ni,ni->n", nu_cov, Xab)
+        if Gam is not None:
+            acc = acc + np.einsum("nk,nkij,ni,nj->n", nu_cov, Gam,
+                                  tangents[a], tangents[b])
+        h[..., a, b] = h[..., b, a] = -acc
+    return gind, ginv, det, nu, h, np.einsum("nab,nab->n", ginv, h)
+
+
+def reference_area_residual(cache):
+    sig, _, _ = mt.sigma_with_derivatives(cache.model, cache.X)
+    tang = (cache.Xth, cache.Xph)
+    tr = sum(cache.ginv_ind[..., a, b]
+             * np.einsum("nij,ni,nj->n", sig, tang[a], tang[b])
+             for a in range(2) for b in range(2))
+    return cache.J / cache.J_bar - cache.u**4 * (1.0 + 0.5 * tr)
+
+
+def reference_mean_curvature_residual(cache):
+    m, u, nu, gi = cache.model.mass, cache.u, cache.nu, cache.ginv_ind
+    rhs = cache.H_bar - (2.0 * m / cache.r**3) * np.sum(
+        cache.X * cache.nu_bar, axis=-1) / u
+    if cache.model.kind == mt.PERTURBED:
+        sig, dsig, _ = mt.sigma_with_derivatives(cache.model, cache.X)
+        tang = (cache.Xth, cache.Xph)
+        sig_ab = np.empty_like(cache.g_ind)
+        div_term = nu_term = 0.0
+        for a in range(2):
+            for b in range(2):
+                sig_ab[..., a, b] = np.einsum("nij,ni,nj->n", sig, tang[a], tang[b])
+                div_term = div_term + gi[..., a, b] * np.einsum(
+                    "nk,nkij,ni,nj->n", tang[a], dsig, nu, tang[b])
+                nu_term = nu_term + gi[..., a, b] * np.einsum(
+                    "nk,nkij,ni,nj->n", nu, dsig, tang[a], tang[b])
+        sig_h = np.einsum("nac,nbd,nab,ncd->n", gi, gi, sig_ab, cache.h)
+        sig_nn = np.einsum("nij,ni,nj->n", sig, nu, nu)
+        rhs = rhs - sig_h + 0.5 * cache.H * sig_nn - div_term + 0.5 * nu_term
+    return u**2 * cache.H - rhs
+
+
+def reference_gauss_curvature(cache):
+    g3, _, _ = mt.evaluate_metric(cache.model, cache.X)
+    _, riem, _, _ = mt.curvature_tensors(cache.model, cache.X)
+    e1 = cache.Xth / np.sqrt(np.einsum("nij,ni,nj->n", g3, cache.Xth, cache.Xth))[:, None]
+    w = cache.Xph - np.einsum("nij,ni,nj->n", g3, cache.Xph, e1)[:, None] * e1
+    e2 = w / np.sqrt(np.einsum("nij,ni,nj->n", g3, w, w))[:, None]
+    vec = np.einsum("nlijk,ni,nj,nk->nl", riem, e1, e2, e2)
+    h = cache.h
+    return (np.einsum("nlm,nl,nm->n", g3, vec, e1)
+            + (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] ** 2) / np.linalg.det(cache.g_ind))
+
+
+def assert_close(got, want, rel=1e-13):
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= rel * scale
+
+
+MODELS = [mt.euclidean_model(), mt.schwarzschild_model(1.0), PERTURBED]
+MODEL_IDS = ["euclidean", "schwarzschild", "perturbed"]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+@pytest.mark.parametrize("bump", [None, "f", "dth", "dphph"])
+def test_node_kernel_matches_the_einsum_reference(model, bump, grid):
+    # real jets, and complex-step jets whose imaginary parts are the
+    # directional derivatives the Jacobian reads
+    graph = bumpy(5, scale=4.0, center=(8.0, 0.0, 1.0))
+    jets = synthesize(graph.coeffs, grid, graph.L)
+    if bump is not None:
+        field = np.cos(3.0 * np.arange(jets.f.size))
+        fields = {k: getattr(jets, k) for k in ("f", "dth", "dph", "dthth",
+                                                 "dthph", "dphph")}
+        fields[bump] = fields[bump] + 1j * 1e-20 * field
+        jets = SphereJets(**fields)
+    chart = _embedding(jets, graph.center, graph.scale, grid.frames())
+    ncov = _cross(chart[1], chart[2])
+    background = _background(model, chart[0])
+    got = _surface_forms(chart, ncov, background)
+    want = reference_surface_forms(chart, ncov, background)
+    for g, w in zip(got, want):
+        assert_close(g.real, w.real)
+        assert_close(np.imag(g), np.imag(w))
+    assert (np.max(np.abs(want[-1].imag)) > 0.0) == (bump is not None)
+
+
+@pytest.mark.parametrize("model", MODELS[1:], ids=MODEL_IDS[1:])
+def test_geometry_cache_matches_the_einsum_reference(model, grid):
+    cache = build_geometry(bumpy(5, scale=4.0, center=(8.0, 0.0, 1.0)), model, grid)
+    h, gi = cache.h, cache.ginv_ind
+    assert_close(cache.tf2, np.einsum("nac,nbd,nab,ncd->n", gi, gi, h, h)
+                 - 0.5 * cache.H**2)
+    assert_close(cache.K, reference_gauss_curvature(cache))
+    # the comparison residuals are cancellations: compare against the size of
+    # the terms that cancel, u^2 H
+    for got, want in ((area_element_comparison_residual(cache),
+                       reference_area_residual(cache)),
+                      (mean_curvature_comparison_residual(cache),
+                       reference_mean_curvature_residual(cache))):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(cache.u**2 * cache.H))

@@ -190,3 +190,39 @@ def test_curvature_tensors_reuse_a_given_metric_bitwise(model, rng):
                                      connection=connection)):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def reference_curvature_tensors(model, x):
+    """The seed's route: d_m Gamma from the derivative of the inverse metric."""
+    g, dg, ddg = mt.evaluate_metric(model, x)
+    Gam, ginv = mt.christoffel(g, dg)
+    dginv = -np.einsum("...ak,...mkl,...lb->...mab", ginv, dg, ginv)
+    lower = np.swapaxes(dg, -3, -2) + np.einsum("...jil->...lij", dg) - dg
+    dlower = np.swapaxes(ddg, -3, -2) + np.einsum("...mjil->...mlij", ddg) - ddg
+    dGam = 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, lower)
+                  + np.einsum("...kl,...mlij->...mkij", ginv, dlower))
+    riem = (np.einsum("...iljk->...lijk", dGam)
+            - np.einsum("...jlik->...lijk", dGam)
+            + np.einsum("...lim,...mjk->...lijk", Gam, Gam)
+            - np.einsum("...ljm,...mik->...lijk", Gam, Gam))
+    ric = np.einsum("...iijk->...jk", riem)
+    return Gam, riem, ric, np.einsum("...jk,...jk->...", ginv, ric)
+
+
+@pytest.mark.parametrize("model", [mt.schwarzschild_model(1.5), PERTURBED],
+                         ids=["schwarzschild", "perturbed"])
+@pytest.mark.parametrize("step", [0.0, 1e-20], ids=["real", "complex-step"])
+def test_curvature_tensors_match_the_inverse_derivative_route(model, step, rng):
+    # real points and complex-step points, whose imaginary parts are the
+    # directional derivatives of each tensor
+    x = rng.uniform(-1, 1, (2048, 3))
+    x *= (2.5 + 8.0 * rng.random(2048))[:, None] / np.linalg.norm(x, axis=1)[:, None]
+    x = x + 1j * step * rng.standard_normal((2048, 3)) if step else x
+    # R vanishes in schwarzschild, so every tensor is held to the Riemann scale
+    got = mt.curvature_tensors(model, x)[1:]
+    want = reference_curvature_tensors(model, x)[1:]
+    for part in (np.real, np.imag):
+        scale = np.max(np.abs(part(want[0])))
+        assert (scale > 0.0) == (part is np.real or step > 0.0)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(part(g) - part(w))) <= 1e-13 * scale

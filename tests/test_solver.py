@@ -420,3 +420,40 @@ def test_trace_foliation_seeds_each_leaf_once(monkeypatch):
     trace = trace_foliation(model, H, 0.8 * H, n_leaves=3, L=6)
     assert not trace.truncated
     assert calls == list(np.geomspace(H, 0.8 * H, 3))
+
+
+def reference_round_seed_radius(model, H_target, r_min=2.05, r_max=1e8):
+    """The seed's 4000-point scan for the outer root, then brentq."""
+    from scipy.optimize import brentq
+    if H_target <= 0.0:
+        raise PreconditionError("H_target must be positive")
+    rs = np.geomspace(max(r_min, 0.51 * model.mass), r_max, 4000)
+    Hs = np.array([round_mean_curvature(model, r) for r in rs])
+    peak = int(np.argmax(Hs))
+    if H_target > Hs[peak]:
+        raise PreconditionError("above the maximal round-sphere H")
+    tail = np.nonzero(Hs[peak:] <= H_target)[0]
+    if tail.size == 0:
+        raise PreconditionError("no round sphere below r_max")
+    hi_idx = peak + tail[0]
+    a, b = rs[max(hi_idx - 1, 0)], rs[hi_idx]
+    if a == b:
+        return float(a)
+    return float(brentq(lambda r: round_mean_curvature(model, r) - H_target,
+                        a, b, xtol=1e-13, rtol=8.9e-16))
+
+
+@pytest.mark.parametrize("mass", [0.0, 0.5, 1.0, 1.1, 2.0, 5.0])
+def test_round_seed_radius_matches_the_scan_reference(mass):
+    model = mt.schwarzschild_model(mass) if mass else mt.euclidean_model()
+    H_peak = round_mean_curvature(model, max(2.05, 0.5 * (2.0 + math.sqrt(3.0)) * mass))
+    targets = [round_mean_curvature(model, r) for r in np.geomspace(2.2, 1e6, 9)]
+    targets += [2.0 * H_peak, 0.999 * H_peak, 1e-9]
+    for H in targets:
+        try:
+            want = reference_round_seed_radius(model, H)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                round_seed_radius(model, H)
+            continue
+        assert round_seed_radius(model, H) == pytest.approx(want, rel=1e-13)
