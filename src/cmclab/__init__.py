@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+from . import _blas  # noqa: F401  (must precede the first numpy import)
 from .errors import (
     CapacityError,
     CmclabError,

@@ -1,3 +1,4 @@
+import cmclab  # noqa: F401  (first, so its BLAS pin precedes numpy)
 import numpy as np
 import pytest
 from hypothesis import settings

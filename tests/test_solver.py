@@ -186,6 +186,23 @@ def test_schwarzschild_spectrum_strictly_stable():
     assert report.stable
 
 
+@pytest.mark.parametrize("L", [8, 16, 24])
+def test_schwarzschild_spectrum_closed_form(L):
+    # on the centered sphere of coordinate radius r and area radius
+    # R = r (1 + m/2r)^2, |h|^2 = H^2/2 and Ric(nu,nu) = -2m/R^3, so the
+    # volume-constrained eigenvalues are (l(l+1) - 2)/R^2 + 6m/R^3 with
+    # multiplicity 2l+1; the l=1 triplet is the positive-mass translation mode
+    m = 1.0
+    model = mt.schwarzschild_model(m)
+    for r in (8.0, 40.0, 200.0, 1000.0, 5000.0):
+        R = r * (1.0 + m / (2.0 * r)) ** 2
+        want = [(l * (l + 1) - 2) / R**2 + 6.0 * m / R**3 for l in (1, 2)]
+        vals = solver._constrained_spectrum(
+            SphereGraph.round_sphere(r, L=L), model, 8)
+        np.testing.assert_allclose(vals[:3], want[0], rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(vals[3:], want[1], rtol=1e-12, atol=0.0)
+
+
 def test_stability_spectrum_requires_convergence():
     report = SolveReport(converged=False, iterations=0, final_residual=1.0,
                          surface=SphereGraph.round_sphere(2.0, L=4),
