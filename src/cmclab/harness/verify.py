@@ -20,8 +20,8 @@ from .. import metrics as mt
 from ..geometry import (area_element_comparison_residual, build_geometry,
                         gauss_curvature_check,
                         mean_curvature_comparison_residual)
-from ..solver import (CmcOptions, round_seed_radius, solve_cmc,
-                      stability_spectrum)
+from ..solver import (CmcOptions, _constrained_spectrum, round_seed_radius,
+                      solve_cmc, stability_spectrum)
 from ..sphere import (SphereGraph, analyze, corpus_graph, degree_of_index,
                       galerkin, lm_index, moment_normalize, n_coeffs,
                       quadrature_grid, synthesize)
@@ -241,6 +241,18 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
                      np.max(np.abs(spec - expect)), 1e-8)
         else:
             b.record("euclid_constrained_spectrum", np.inf, 1e-8)
+
+        # centered Schwarzschild spheres of area radius R = r (1 + m/2r)^2:
+        # (l(l+1) - 2)/R^2 + 6m/R^3, the l=1 triplet and the l=2 quintet
+        worst = 0.0
+        for rs in (8.0, 1000.0):
+            R = rs * (1.0 + m / (2.0 * rs)) ** 2
+            expect = np.repeat([(l * (l + 1) - 2) / R**2 + 6.0 * m / R**3
+                                for l in (1, 2)], [3, 5])
+            spec = _constrained_spectrum(
+                SphereGraph.round_sphere(rs, L=8), model, 8)
+            worst = max(worst, float(np.max(np.abs(spec / expect - 1.0))))
+        b.record("schwarzschild_constrained_spectrum", worst, 1e-9)
 
         b.record("round_radius_inverse",
                  abs(round_seed_radius(model, H_exact) - r), 1e-9)

@@ -364,28 +364,31 @@ def curvature_tensors(model: MetricModel, x: np.ndarray, metric=None,
     """
     g, dg, ddg = metric if metric is not None else evaluate_metric(model, x)
     Gam, ginv = connection if connection is not None else christoffel(g, dg)
+    base = Gam.shape[:-3]
     # d_m Gamma^k_ij = g^kl (1/2 d_m lower_lij - d_m g_ln Gamma^n_ij), with
-    # lower the first-kind combination; no derivative of the inverse is formed
-    dGam = np.einsum("...kl,...mlij->...mkij", ginv, 0.5 * _first_kind(ddg)
-                     - np.einsum("...mln,...nij->...mlij", dg, Gam))
-    riem = (
-        np.einsum("...iljk->...lijk", dGam)
-        - np.einsum("...jlik->...lijk", dGam)
-        + np.einsum("...lim,...mjk->...lijk", Gam, Gam)
-        - np.einsum("...ljm,...mik->...lijk", Gam, Gam)
-    )
-    ric = np.einsum("...iijk->...jk", riem)
-    scal = np.einsum("...jk,...jk->...", ginv, ric)
+    # lower the first-kind combination; no derivative of the inverse is formed.
+    # Each contraction is one batched matmul over (3, 9) and (9, 3) views;
+    # temporaries are updated in place and dropped early to bound peak memory.
+    lower = _first_kind(ddg).reshape(base + (3, 3, 9))
+    lower *= 0.5
+    lower -= (dg.reshape(base + (9, 3)) @ Gam.reshape(base + (3, 9))
+              ).reshape(base + (3, 3, 9))
+    dGam = (ginv[..., None, :, :] @ lower).reshape(base + (3, 3, 3, 3))
+    del lower
+    # Riem_lijk = d_i Gam^l_jk + Gam^l_im Gam^m_jk - (i <-> j)
+    a = (Gam.reshape(base + (9, 3)) @ Gam.reshape(base + (3, 9))
+         ).reshape(base + (3, 3, 3, 3))
+    a += np.swapaxes(dGam, -4, -3)
+    del dGam
+    riem = a - np.swapaxes(a, -3, -2)
+    ric = np.trace(riem, axis1=-4, axis2=-3)
+    scal = np.sum(ginv * ric, axis=(-2, -1))
     return Gam, riem, ric, scal
 
 
 def scalar_curvature(model: MetricModel, x: np.ndarray):
     """Scalar curvature assembled from the closed-form metric derivatives."""
     return curvature_tensors(model, x)[3]
-
-
-def ricci_tensor(model: MetricModel, x: np.ndarray):
-    return curvature_tensors(model, x)[2]
 
 
 def model_to_dict(model: MetricModel) -> dict:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, null_space
+from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.optimize import brentq
 
 from . import metrics as mt
@@ -244,9 +244,16 @@ def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
 
     Quadratic form int(|grad phi|^2 - (|h|^2 + Ric(nu,nu)) phi^2) dmu against
     the mass form int phi^2 dmu, both restricted to int phi dmu = 0, in the
-    harmonic basis up to L_op.
+    harmonic basis up to L_op.  The constraint row a = analyze(J) is mapped
+    to a multiple of e_0 by the Householder reflector P = I - 2 v v^T, so the
+    constrained pencil is P Q P and P Mass P without row and column 0 (Golub,
+    SIAM Rev. 15 (1973)); only its k lowest eigenvalues are computed.
     """
     L_op = L_op if L_op is not None else surface.L
+    n_free = (L_op + 1) ** 2 - 1
+    if not 1 <= k <= n_free:
+        raise PreconditionError(f"k must lie in [1, {n_free}] at L_op={L_op}; "
+                                f"got {k!r}")
     if grid is None:
         grid = _guard_grid(L_op)
     grid.require_capacity(max(L_op, surface.L))
@@ -259,14 +266,23 @@ def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
         ("dph", "dth", wj * gi[:, 0, 1]), ("dph", "dph", wj * gi[:, 1, 1]),
         ("val", "val", -wj * pot)])
     Mass = galerkin(grid, L_op, [("val", "val", wj)])
-    constraint = analyze(cache.J, grid, L_op)
-    N = null_space(constraint[None, :])
-    Qc = N.T @ Q @ N
-    Mc = N.T @ Mass @ N
-    Qc = 0.5 * (Qc + Qc.T)
-    Mc = 0.5 * (Mc + Mc.T)
-    vals = eigh(Qc, Mc, eigvals_only=True)
-    return vals[:k]
+    v = analyze(cache.J, grid, L_op)
+    v[0] += math.copysign(float(np.linalg.norm(v)), v[0])
+    v /= np.linalg.norm(v)
+    Qc, Mc = (_deflate(A, v) for A in (Q, Mass))
+    return eigh(Qc, Mc, eigvals_only=True, subset_by_index=[0, k - 1],
+                overwrite_a=True, overwrite_b=True)
+
+
+def _deflate(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P A P without row and column 0, symmetrised, for the reflector
+    P = I - 2 v v^T of a unit v and a symmetric A: the rank-two update
+    A - 2 (v w^T + w v^T) with w = A v - (v^T A v) v."""
+    w = A @ v
+    w -= (v @ w) * v
+    vw = np.outer(v[1:], w[1:])
+    B = A[1:, 1:] - 2.0 * (vw + vw.T)
+    return 0.5 * (B + B.T)
 
 
 def stability_spectrum(report: SolveReport, model: mt.MetricModel, k: int = 8,

@@ -1,5 +1,6 @@
 """Newton CMC solver: round oracles, stability spectra, foliation tracing."""
 
+import functools
 import math
 import os
 import subprocess
@@ -211,14 +212,18 @@ def test_stability_spectrum_requires_convergence():
         stability_spectrum(report, mt.euclidean_model(), k=4)
 
 
-def test_unstable_leaf_detected():
+@functools.lru_cache(maxsize=None)
+def unstable_leaf_report():
     # a strong constant sigma_xx flips the lowest constrained eigenvalue;
     # target the perturbed sphere's own mean curvature so Newton converges
     surface = SphereGraph.round_sphere(3.0, L=16)
     cache = build_geometry(surface, STRONG_XX, QuadratureGrid(34, 68))
     target = cache.integrate(cache.H) / cache.area()
-    report = solve_cmc(surface, STRONG_XX, target,
-                       CmcOptions(tolerance=1e-8))
+    return solve_cmc(surface, STRONG_XX, target, CmcOptions(tolerance=1e-8))
+
+
+def test_unstable_leaf_detected():
+    report = unstable_leaf_report()
     assert report.converged
     assert report.stability_eigenvalue < -1e-3
     assert not report.stable
@@ -361,9 +366,10 @@ def test_solves_and_spectra_build_no_basis_matrix(monkeypatch):
         assert ("theta_columns", 6) in grid._cache
 
 
-def reference_constrained_spectrum(surface, model, k, grid):
-    """The spectrum assembled from the dense basis matrices."""
-    L_op = surface.L
+def reference_constrained_spectrum(surface, model, k, grid, L_op=None):
+    """The spectrum from the dense basis matrices, an orthonormal null-space
+    basis of the constraint and a full generalized eigensolve."""
+    L_op = L_op if L_op is not None else surface.L
     cache = build_geometry(surface, model, grid)
     basis = grid.basis_matrices(L_op, keys=("val", "dth", "dph"))
     B, Bt, Bp = basis["val"], basis["dth"], basis["dph"]
@@ -382,15 +388,58 @@ def reference_constrained_spectrum(surface, model, k, grid):
     return eigh(0.5 * (Qc + Qc.T), 0.5 * (Mc + Mc.T), eigvals_only=True)[:k]
 
 
-@pytest.mark.parametrize("L", [16, 24])
-def test_constrained_spectrum_matches_dense_reference(L):
+def perturbed_pencil(L):
     model = mt.perturbed_model(1.0, mt.PerturbationSpec(
         (mt.PerturbationTerm(2.0, 0.3, 2, 2, ((1.0, (0, 0, 2)),)),)))
     surface = bumpy_seed(4, L=L, amp=3e-4, scale=8.0, center=(0.2, -0.1, 0.3))
-    grid = QuadratureGrid(2 * (L + 1), 2 * (2 * L + 1))
-    want = reference_constrained_spectrum(surface, model, 4, grid)
-    got = solver._constrained_spectrum(surface, model, 4, grid=grid)
-    assert np.max(np.abs(got - want)) <= 1e-10 * abs(want[0])
+    return surface, model, None, QuadratureGrid(2 * (L + 1), 2 * (2 * L + 1))
+
+
+def criterion_10_pencil(L):
+    # the flat round sphere of criterion 10: 24 values at L_op = 6
+    return (SphereGraph.round_sphere(2.0, L=L), mt.euclidean_model(), 6,
+            QuadratureGrid(14, 26))
+
+
+def unstable_leaf_pencil(L):
+    # the converged L=16 leaf of test_unstable_leaf_detected, lambda_min < 0
+    report = unstable_leaf_report()
+    assert report.converged and report.surface.L == L
+    return report.surface, STRONG_XX, None, QuadratureGrid(34, 68)
+
+
+@pytest.mark.parametrize("pencil, L, ks", [
+    pytest.param(perturbed_pencil, 16, (1, 4, 8), id="16"),
+    pytest.param(perturbed_pencil, 24, (1, 4, 8), id="24"),
+    pytest.param(criterion_10_pencil, 8, (24,), id="criterion-10"),
+    pytest.param(unstable_leaf_pencil, 16, (1, 4, 8), id="unstable-leaf")])
+def test_constrained_spectrum_matches_dense_reference(pencil, L, ks):
+    surface, model, L_op, grid = pencil(L)
+    want = reference_constrained_spectrum(surface, model, max(ks), grid,
+                                          L_op=L_op)
+    for k in ks:
+        got = solver._constrained_spectrum(surface, model, k, L_op=L_op,
+                                           grid=grid)
+        assert got.shape == (k,)
+        # up to k = 4 relative to lambda_min; beyond it (the l=2 modes) and
+        # for criterion 10, whose lambda_min is 0, relative to max|want[:k]|
+        scale = abs(want[0]) if k <= 4 else np.max(np.abs(want[:k]))
+        assert np.max(np.abs(got - want[:k])) <= 1e-10 * scale
+
+
+def test_constrained_spectrum_rejects_k_out_of_range():
+    # (L_op + 1)^2 coefficients less the volume constraint
+    surface = SphereGraph.round_sphere(2.0, L=4)
+    report = SolveReport(converged=True, iterations=0, final_residual=0.0,
+                         surface=surface, H_target=1.0)
+    model = mt.euclidean_model()
+    for k, L_op in ((0, None), (-1, 3), (25, None), (16, 3)):
+        with pytest.raises(PreconditionError, match="k must lie in"):
+            solver._constrained_spectrum(surface, model, k, L_op=L_op)
+        with pytest.raises(PreconditionError, match="k must lie in"):
+            stability_spectrum(report, model, k=k, L_op=L_op)
+    assert solver._constrained_spectrum(surface, model, 24).shape == (24,)
+    assert stability_spectrum(report, model, k=15, L_op=3).shape == (15,)
 
 
 def test_solve_with_stability_stays_small_at_L32():
