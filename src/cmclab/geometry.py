@@ -26,36 +26,8 @@ import numpy as np
 
 from . import metrics as mt
 from .errors import GeometryError, PreconditionError
-from .sphere import QuadratureGrid, SphereGraph, SphereJets, synthesize
-
-
-def _points(rho, center, nhat):
-    """Graph points center + rho * direction, (N, 3)."""
-    return np.asarray(center)[None, :] + rho[:, None] * nhat
-
-
-def _embedding(jets: SphereJets, center, scale, frames):
-    """Embedding and its chart derivatives from graph jets.
-
-    Returns X, X_th, X_ph, X_thth, X_thph, X_phph with shape (N, 3).
-    """
-    nhat, that, phat, st, ct = frames
-    rho = scale * (1.0 + jets.f)
-    X = _points(rho, center, nhat)
-    Xth = (scale * jets.dth)[:, None] * nhat + rho[:, None] * that
-    Xph = (scale * jets.dph)[:, None] * nhat + (rho * st)[:, None] * phat
-    Xthth = (scale * jets.dthth - rho)[:, None] * nhat + (2.0 * scale * jets.dth)[:, None] * that
-    Xthph = (
-        (scale * jets.dthph)[:, None] * nhat
-        + (scale * jets.dph)[:, None] * that
-        + (scale * jets.dth * st + rho * ct)[:, None] * phat
-    )
-    Xphph = (
-        (scale * jets.dphph - rho * st * st)[:, None] * nhat
-        - (rho * st * ct)[:, None] * that
-        + (2.0 * scale * jets.dph * st)[:, None] * phat
-    )
-    return X, Xth, Xph, Xthth, Xthph, Xphph
+from .sphere import (QuadratureGrid, SphereGraph, SphereJets, _embedding,
+                     _points, synthesize)
 
 
 def _cross(a, b):

@@ -14,17 +14,18 @@ There is one transform path: ``synthesize`` and ``analyze`` for node values,
 and ``galerkin`` for Galerkin matrices sum(B_a^T diag(W) B_b) of the jet
 fields.  All three use the product structure of the grid (a longitude sum,
 then a colatitude sum per order m), so none of them forms a dense
-node-by-coefficient matrix.
+node-by-coefficient matrix.  ``values_at`` evaluates at scattered unit
+vectors with the same per-order colatitude sums, and ``SphereGraph.r0``
+polishes its minimum with the jets of ``synthesize``'s helper at one point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import CapacityError, EmbeddingError, NormalizationError, PreconditionError
 
@@ -113,9 +114,10 @@ class QuadratureGrid:
         Quadrature weights for the round measure; they sum to 4*pi.
 
     Instances are immutable: every array a grid holds or caches is read-only,
-    and the internal cache (frames, Legendre and trigonometric blocks, basis
-    matrices) is append-only, so one instance can be shared between callers
-    and threads.  ``quadrature_grid`` returns the shared instance of a shape.
+    and the internal cache (frames, Legendre and trigonometric blocks and
+    their per-coefficient layout) is append-only, so one instance can be
+    shared between callers and threads.  ``quadrature_grid`` returns the
+    shared instance of a shape.
     """
 
     def __init__(self, n_theta: int, n_phi: int):
@@ -166,13 +168,11 @@ class QuadratureGrid:
     def frames(self):
         key = "frames"
         if key not in self._cache:
-            st = np.repeat(self.sin_theta, self.n_phi)
-            ct = np.repeat(self.cos_theta, self.n_phi)
-            cp = np.tile(np.cos(self.phi), self.n_theta)
-            sp = np.tile(np.sin(self.phi), self.n_theta)
-            that = np.stack([ct * cp, ct * sp, -st], axis=-1)
-            phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-            self._cache[key] = (self.nodes,) + _frozen(that, phat, st, ct)
+            frame = _frame(np.repeat(self.sin_theta, self.n_phi),
+                           np.repeat(self.cos_theta, self.n_phi),
+                           np.tile(np.cos(self.phi), self.n_theta),
+                           np.tile(np.sin(self.phi), self.n_theta))
+            self._cache[key] = (self.nodes,) + _frozen(*frame[1:])
         return self._cache[key]
 
     def theta_block(self, L: int):
@@ -205,45 +205,6 @@ class QuadratureGrid:
                 np.ascontiguousarray(block[ls[order], np.abs(ms[order])].T)
                 for block in self.theta_block(L)))
         return self._cache[key]
-
-    def basis_matrices(self, L: int, keys=JET_KEYS) -> dict:
-        """Dense node-by-coefficient matrices of the requested jet fields.
-
-        No cmclab code calls this: solves, spectra and the verify battery
-        assemble their matrices with ``galerkin`` and transform with
-        ``synthesize``/``analyze``.  It is kept because the benchmark's
-        tracer (benchmarks/tracer.py) wraps it by name; it goes when the
-        benchmark drops it.
-
-        Keys are drawn from ``JET_KEYS``: 'val', 'dth', 'dph', 'dthth',
-        'dthph', 'dphph'.  Each matrix is built on first request, as one
-        broadcast product of its theta factor (from ``theta_block``) and phi
-        factor (from ``trig_block``), and cached under ("B", L, key).  The
-        matrices are C-contiguous and read-only, and stay cached as long as
-        the grid lives.
-        """
-        out = {}
-        for key in keys:
-            cache_key = ("B", L, key)
-            if cache_key not in self._cache:
-                self._cache[cache_key] = self._basis_matrix(L, key)
-            out[key] = self._cache[cache_key]
-        return out
-
-    def _basis_matrix(self, L: int, key: str) -> np.ndarray:
-        P, dP, ddP = self.theta_block(L)
-        T, dT = self.trig_block(L)
-        ddT = -(np.arange(-L, L + 1) ** 2)[:, None] * T
-        theta, phi = {"val": (P, T), "dth": (dP, T), "dph": (P, dT),
-                      "dthth": (ddP, T), "dthph": (dP, dT),
-                      "dphph": (P, ddT)}[key]
-        ls = degree_of_index(L)
-        ms = np.arange(n_coeffs(L)) - ls * ls - ls
-        # per coefficient: theta factor (n, n_theta), phi factor (n, n_phi)
-        theta, phi = theta[ls, np.abs(ms)], phi[ms + L]
-        out = np.empty((self.n_theta, self.n_phi, ms.size))
-        np.multiply(theta.T[:, None, :], phi.T[None, :, :], out=out)
-        return _frozen(out.reshape(self.n_nodes, ms.size))[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,21 +241,6 @@ def _recurrence(L: int):
     return diag, sub, rows
 
 
-@functools.lru_cache(maxsize=None)
-def _flat_layout(L: int):
-    """Flat indices of the Legendre table entries, built once per L.
-
-    Returns (zonal, ls, ms, cos_idx, sin_idx): ``zonal[l]`` is the index of
-    (l, 0); the pairs (ls, ms) run over 1 <= m <= l, and ``cos_idx`` and
-    ``sin_idx`` are the indices of (l, m) and (l, -m).
-    """
-    degrees = np.arange(L + 1)
-    ls, ms = np.tril_indices(L)
-    ls, ms = ls + 1, ms + 1
-    return (degrees * degrees + degrees, ls, ms, ls * ls + ls + ms,
-            ls * ls + ls - ms)
-
-
 def _legendre(L: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
     """Orthonormalized associated Legendre stack P[l, m], shape (L+1, L+1, npts).
 
@@ -328,7 +274,7 @@ def _theta_block(L: int, ct: np.ndarray, st: np.ndarray):
     dP = np.zeros_like(P)
     ddP = np.zeros_like(P)
     for l in range(1, L + 1):
-        dP[l, 0] = math.sqrt(l * (l + 1.0)) * P[l, 1] if l >= 1 else 0.0
+        dP[l, 0] = math.sqrt(l * (l + 1.0)) * P[l, 1]
         for m in range(1, l + 1):
             up = P[l, m + 1] if m + 1 <= l else 0.0
             c1 = math.sqrt((l - m) * (l + m + 1.0))
@@ -369,6 +315,18 @@ def _table_coeffs(C: np.ndarray, L: int) -> np.ndarray:
     return C[ms + L, ls]
 
 
+def _frame(st, ct, cp, sp):
+    """Chart frame at points given by the sines and cosines of their angles.
+
+    Returns (nhat, that, phat, st, ct): the unit direction and the unit
+    colatitude and longitude tangents, each (N, 3), then the inputs.
+    """
+    nhat = np.stack([st * cp, st * sp, ct], axis=-1)
+    that = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+    return nhat, that, phat, st, ct
+
+
 @dataclass
 class SphereJets:
     """Point values and chart derivatives of a graph function on a grid."""
@@ -381,26 +339,60 @@ class SphereJets:
     dphph: np.ndarray
 
 
-def synthesize(coeffs: np.ndarray, grid: QuadratureGrid, L: int) -> SphereJets:
-    """Evaluate a coefficient vector and its chart derivatives on the grid.
+def _points(rho, center, nhat):
+    """Graph points center + rho * direction, (N, 3)."""
+    return np.asarray(center)[None, :] + rho[:, None] * nhat
 
-    Uses the separable theta/phi structure, so no dense node-by-coefficient
-    matrix is materialized.
+
+def _embedding(jets: SphereJets, center, scale, frames):
+    """Embedding and its chart derivatives from graph jets.
+
+    ``frames`` is ``_frame``'s result at the jets' points.  Returns X, X_th,
+    X_ph, X_thth, X_thph, X_phph with shape (N, 3).
     """
-    grid.require_capacity(L)
-    P, dP, ddP = grid.theta_block(L)
-    T, dT = grid.trig_block(L)
+    nhat, that, phat, st, ct = frames
+    rho = scale * (1.0 + jets.f)
+    X = _points(rho, center, nhat)
+    Xth = (scale * jets.dth)[:, None] * nhat + rho[:, None] * that
+    Xph = (scale * jets.dph)[:, None] * nhat + (rho * st)[:, None] * phat
+    Xthth = (scale * jets.dthth - rho)[:, None] * nhat + (2.0 * scale * jets.dth)[:, None] * that
+    Xthph = (
+        (scale * jets.dthph)[:, None] * nhat
+        + (scale * jets.dph)[:, None] * that
+        + (scale * jets.dth * st + rho * ct)[:, None] * phat
+    )
+    Xphph = (
+        (scale * jets.dphph - rho * st * st)[:, None] * nhat
+        - (rho * st * ct)[:, None] * that
+        + (2.0 * scale * jets.dph * st)[:, None] * phat
+    )
+    return X, Xth, Xph, Xthth, Xthph, Xphph
+
+
+def _order_sums(Pblk: np.ndarray, C: np.ndarray, L: int) -> np.ndarray:
+    """Colatitude sums per order, shape (2L+1, npts).
+
+    Row m + L holds sum_l Pblk[l, |m|] C[m + L, l] at each of ``Pblk``'s
+    colatitudes, for a Legendre stack ``Pblk`` (or a derivative of it) and a
+    coefficient table ``C`` from ``_coeff_table``.
+    """
+    A = np.zeros((2 * L + 1, Pblk.shape[-1]), dtype=C.dtype)
+    for m in range(-L, L + 1):
+        A[m + L] = Pblk[:, abs(m), :].T @ C[m + L]
+    return A
+
+
+def _product_jets(coeffs: np.ndarray, L: int, theta_blocks,
+                  trig_blocks) -> SphereJets:
+    """Jets of a coefficient vector on a product of colatitudes x longitudes.
+
+    ``theta_blocks`` is ``_theta_block``'s (P, dP, ddP) at the colatitudes
+    and ``trig_blocks`` ``_trig_block``'s (T, dT) at the longitudes; the
+    fields are flattened colatitude-major.
+    """
+    T, dT = trig_blocks
     C = _coeff_table(np.asarray(coeffs), L)
-    nm = 2 * L + 1
-    nt = grid.n_theta
-
-    def pair(Pblk):
-        A = np.zeros((nm, nt), dtype=C.dtype)
-        for m in range(-L, L + 1):
-            A[m + L] = Pblk[:, abs(m), :].T @ C[m + L]
-        return A
-
-    Av, Ad, Add = pair(P), pair(dP), pair(ddP)
+    Av, Ad, Add = (_order_sums(block, C, L) for block in theta_blocks)
     m2 = (np.arange(-L, L + 1) ** 2)[:, None]
     f = (Av.T @ T).ravel()
     dth = (Ad.T @ T).ravel()
@@ -409,6 +401,32 @@ def synthesize(coeffs: np.ndarray, grid: QuadratureGrid, L: int) -> SphereJets:
     dthph = (Ad.T @ dT).ravel()
     dphph = (Av.T @ (-m2 * T)).ravel()
     return SphereJets(f, dth, dph, dthth, dthph, dphph)
+
+
+def synthesize(coeffs: np.ndarray, grid: QuadratureGrid, L: int) -> SphereJets:
+    """Evaluate a coefficient vector and its chart derivatives on the grid.
+
+    Uses the separable theta/phi structure, so no dense node-by-coefficient
+    matrix is materialized.
+    """
+    grid.require_capacity(L)
+    return _product_jets(coeffs, L, grid.theta_block(L), grid.trig_block(L))
+
+
+def values_at(coeffs: np.ndarray, L: int, unit_vectors: np.ndarray) -> np.ndarray:
+    """Values of a coefficient vector at arbitrary unit vectors, (npts,).
+
+    The per-order colatitude sums of ``synthesize`` at each point's
+    colatitude, times the longitude factors at its longitude; no
+    point-by-coefficient matrix is formed.
+    """
+    v = np.asarray(unit_vectors, dtype=float).reshape(-1, 3)
+    ct = np.clip(v[:, 2], -1.0, 1.0)
+    st = np.sqrt(np.maximum(1.0 - ct * ct, 1e-300))
+    C = _coeff_table(np.asarray(coeffs), L)
+    sums = _order_sums(_legendre(L, ct, st), C, L)
+    T, _ = _trig_block(L, np.arctan2(v[:, 1], v[:, 0]))
+    return np.einsum("mk,mk->k", sums, T)
 
 
 def analyze(values: np.ndarray, grid: QuadratureGrid, L: int) -> np.ndarray:
@@ -478,23 +496,6 @@ def galerkin(grid: QuadratureGrid, L: int, terms) -> np.ndarray:
     return out[:, position]
 
 
-def basis_at(unit_vectors: np.ndarray, L: int) -> np.ndarray:
-    """Values of all basis functions at arbitrary unit vectors, (P, n) matrix."""
-    v = np.asarray(unit_vectors, dtype=float)
-    ct = np.clip(v[..., 2], -1.0, 1.0).ravel()
-    st = np.sqrt(np.maximum(1.0 - ct * ct, 1e-300))
-    phi = np.arctan2(v[..., 1], v[..., 0]).ravel()
-    P = _legendre(L, ct, st)
-    zonal, ls, ms, cos_idx, sin_idx = _flat_layout(L)
-    out = np.empty((ct.shape[0], n_coeffs(L)))
-    out[:, zonal] = P[:, 0].T
-    angle = ms[:, None] * phi
-    Pm = math.sqrt(2.0) * P[ls, ms]
-    out[:, cos_idx] = (Pm * np.cos(angle)).T
-    out[:, sin_idx] = (Pm * np.sin(angle)).T
-    return out
-
-
 def _guard_grid(L: int) -> QuadratureGrid:
     """2x refined evaluation grid used for norm guards and r0 measurements."""
     return quadrature_grid(2 * (L + 1), 2 * (2 * L + 1))
@@ -510,6 +511,13 @@ def c1_seminorms(coeffs: np.ndarray, L: int) -> tuple[float, float]:
 
 
 C1_EMBEDDING_BOUND = 0.5
+
+# the Newton polish of SphereGraph.r0, in the chart angles (radians)
+R0_STEP_CAP = 0.1        # longest step
+R0_MAX_STEPS = 12
+R0_STEP_TOL = 1e-10      # a shorter step ends the polish
+R0_RCOND = 1e-10         # relative cut of the Hessian's singular values
+R0_POLE_GAP = 1e-8       # colatitude kept this far from the poles
 
 
 @dataclass(eq=False)
@@ -554,47 +562,60 @@ class SphereGraph:
     def round_sphere(cls, radius: float, center=(0.0, 0.0, 0.0), L: int = 24) -> "SphereGraph":
         return cls(np.asarray(center, dtype=float), float(radius), L, np.zeros(n_coeffs(L)))
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "SphereGraph":
-        return SphereGraph(self.center, self.scale, self.L, coeffs)
-
     def radial_values(self, unit_vectors: np.ndarray) -> np.ndarray:
         """Distances from center to the surface along the given directions."""
-        B = basis_at(unit_vectors, self.L)
-        return self.scale * (1.0 + B @ self.coeffs)
+        return self.scale * (1.0 + values_at(self.coeffs, self.L, unit_vectors))
 
     def points(self, grid: QuadratureGrid) -> np.ndarray:
         jets = synthesize(self.coeffs, grid, self.L)
-        rho = self.scale * (1.0 + jets.f)
-        return self.center[None, :] + rho[:, None] * grid.nodes
+        return _points(self.scale * (1.0 + jets.f), self.center, grid.nodes)
 
     def r0(self) -> float:
         """Distance from the chart origin to the surface.
 
-        Refined-grid minimum polished by a local simplex search in the chart
-        angles; accurate to optimizer tolerance, not just grid resolution.
-        Computed on the first call and cached, since graphs are immutable.
+        The minimum of |X| over the refined guard grid, polished by Newton
+        steps on |X|^2 / 2 in the chart angles (gradient X.X_a, Hessian
+        X_a.X_b + X.X_ab), from the graph's jets at the current point.
+        Each step is a least-squares solve, so a degenerate minimum (a ring)
+        takes no step along its flat direction; steps are capped at
+        ``R0_STEP_CAP`` and the colatitude stays ``R0_POLE_GAP`` away from
+        the poles, where the chart is singular.  The smallest |X| seen is
+        returned.  Computed on the first call and cached, since graphs are
+        immutable.
         """
         if self._r0 is not None:
             return self._r0
         grid = _guard_grid(self.L)
-        jets = synthesize(self.coeffs, grid, self.L)
-        rho = self.scale * (1.0 + jets.f)
-        pts = self.center[None, :] + rho[:, None] * grid.nodes
-        dist = np.linalg.norm(pts, axis=-1)
+        dist = np.linalg.norm(self.points(grid), axis=-1)
         k = int(np.argmin(dist))
-        x0 = np.array([math.acos(np.clip(grid.nodes[k, 2], -1.0, 1.0)),
-                       math.atan2(grid.nodes[k, 1], grid.nodes[k, 0])])
-
-        def objective(tp):
-            st, ct = math.sin(tp[0]), math.cos(tp[0])
-            n = np.array([st * math.cos(tp[1]), st * math.sin(tp[1]), ct])
-            return float(np.linalg.norm(
-                self.center + self.radial_values(n[None, :])[0] * n))
-
-        res = optimize.minimize(objective, x0, method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-13})
-        self._r0 = min(float(dist[k]), float(res.fun))
-        return self._r0
+        best = float(dist[k])
+        angles = np.array([grid.theta[k // grid.n_phi],
+                           grid.phi[k % grid.n_phi]])
+        for _ in range(R0_MAX_STEPS):
+            th, ph = angles[:1], angles[1:]
+            ct, st = np.cos(th), np.sin(th)
+            jets = _product_jets(self.coeffs, self.L,
+                                 _theta_block(self.L, ct, st),
+                                 _trig_block(self.L, ph))
+            X, Xth, Xph, Xthth, Xthph, Xphph = (a[0] for a in _embedding(
+                jets, self.center, self.scale,
+                _frame(st, ct, np.cos(ph), np.sin(ph))))
+            best = min(best, float(np.linalg.norm(X)))
+            grad = np.array([X @ Xth, X @ Xph])
+            mixed = Xth @ Xph + X @ Xthph
+            hess = np.array([[Xth @ Xth + X @ Xthth, mixed],
+                             [mixed, Xph @ Xph + X @ Xphph]])
+            step = np.linalg.lstsq(hess, -grad, rcond=R0_RCOND)[0]
+            size = float(np.linalg.norm(step))
+            if size > R0_STEP_CAP:
+                step *= R0_STEP_CAP / size
+            moved = angles + step
+            moved[0] = np.clip(moved[0], R0_POLE_GAP, math.pi - R0_POLE_GAP)
+            if np.linalg.norm(moved - angles) <= R0_STEP_TOL:
+                break
+            angles = moved
+        self._r0 = best
+        return best
 
     def encloses_origin(self) -> bool:
         """Ray-parity test of the origin against the star-shaped surface.
@@ -643,8 +664,7 @@ def _translated_radii(coeffs, L, grid, v, warm=None, tol=1e-14, max_inner=30):
     for _ in range(max_inner):
         p = v[None, :] + t[:, None] * d
         u = p / np.linalg.norm(p, axis=-1, keepdims=True)
-        B = basis_at(u, L)
-        R = 1.0 + B @ coeffs
+        R = 1.0 + values_at(coeffs, L, u)
         t_new = -vd + np.sqrt(vd * vd + R * R - v2)
         if np.max(np.abs(t_new - t)) <= tol:
             return t_new

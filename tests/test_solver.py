@@ -23,6 +23,7 @@ from cmclab.solver import (IMAG_STEP, JET_KEYS, CmcOptions, SolveReport,
                            trace_foliation)
 from cmclab.sphere import (QuadratureGrid, SphereGraph, SphereJets, n_coeffs,
                            quadrature_grid, synthesize)
+from test_sphere import reference_basis_matrices
 
 FOUR_PI = 4.0 * math.pi
 
@@ -331,39 +332,24 @@ def test_node_jacobian_matches_per_jet_reference_bitwise(model):
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     # the sum-factorised coefficient Jacobian against the dense A @ M
-    basis = grid.basis_matrices(graph.L)
+    basis = reference_basis_matrices(grid, graph.L)
     M = sum(G[:, None] * basis[k] for k, G in zip(JET_KEYS, want))
     dense = (basis["val"] * grid.weights[:, None]).T @ M
     J = _node_jacobian(*args, graph.L)
     assert np.max(np.abs(J - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
-def counting_basis_builds(monkeypatch):
-    built = []
-    original = QuadratureGrid._basis_matrix
-
-    def counted(grid, L, key):
-        built.append(((grid.n_theta, grid.n_phi), L, key))
-        return original(grid, L, key)
-
-    monkeypatch.setattr(QuadratureGrid, "_basis_matrix", counted)
-    return built
-
-
-def test_solves_and_spectra_build_no_basis_matrix(monkeypatch):
+def test_solves_and_spectra_build_no_basis_matrix():
     quadrature_grid.cache_clear()  # the cache outlives tests
-    built = counting_basis_builds(monkeypatch)
     model = mt.schwarzschild_model(1.0)
     for seed in (1, 2):
         report = solve_cmc(bumpy_seed(seed, L=6, amp=0.001, scale=5.7), model,
                            round_mean_curvature(model, 6.0))
         assert report.converged and report.stable
         assert np.isfinite(report.stability_eigenvalue)
-    assert built == []
+    # the Jacobians and the spectra were assembled by sum factorisation
     for shape in ((32, 64), (14, 26)):
-        grid = quadrature_grid(*shape)
-        assert not [k for k in grid._cache if k[0] == "B"]
-        assert ("theta_columns", 6) in grid._cache
+        assert ("theta_columns", 6) in quadrature_grid(*shape)._cache
 
 
 def reference_constrained_spectrum(surface, model, k, grid, L_op=None):
@@ -371,7 +357,7 @@ def reference_constrained_spectrum(surface, model, k, grid, L_op=None):
     basis of the constraint and a full generalized eigensolve."""
     L_op = L_op if L_op is not None else surface.L
     cache = build_geometry(surface, model, grid)
-    basis = grid.basis_matrices(L_op, keys=("val", "dth", "dph"))
+    basis = reference_basis_matrices(grid, L_op)
     B, Bt, Bp = basis["val"], basis["dth"], basis["dph"]
     wj = grid.weights * cache.J
     gi = cache.ginv_ind

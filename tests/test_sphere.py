@@ -1,20 +1,21 @@
 """Quadrature grid, harmonic transform, graph type, normalization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import optimize
 
 import cmclab.sphere as sphere
 from cmclab.errors import CapacityError, EmbeddingError
 from cmclab.sphere import (JET_KEYS, QuadratureGrid, SphereGraph,
                            _coeff_table, _table_coeffs, _theta_block, analyze,
-                           basis_at, c1_seminorms, corpus_graph,
-                           degree_of_index, galerkin, index_lm, lm_index,
-                           moment_normalize, n_coeffs, quadrature_grid,
-                           synthesize)
+                           c1_seminorms, corpus_graph, degree_of_index,
+                           galerkin, index_lm, lm_index, moment_normalize,
+                           n_coeffs, quadrature_grid, synthesize, values_at)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -62,8 +63,7 @@ def test_known_harmonic_point_values(small_grid):
 
 
 def test_orthonormal_gram(small_grid):
-    B = small_grid.basis_matrices(8)["val"]
-    gram = B.T @ (B * small_grid.weights[:, None])
+    gram = galerkin(small_grid, 8, [("val", "val", small_grid.weights)])
     assert gram == pytest.approx(np.eye(n_coeffs(8)), abs=1e-12)
 
 
@@ -245,16 +245,21 @@ POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 16, 24])
-def test_basis_at_matches_reference_bitwise(L):
+def test_values_at_matches_reference_basis(L):
     rng = np.random.default_rng(100 + L)
+    c = rng.standard_normal(n_coeffs(L))
     v = rng.standard_normal((57, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     v = np.concatenate([POLES, v])
-    assert np.array_equal(basis_at(v, L), reference_basis_at(v, L))
-    # one point at a time, as the r0 search and encloses_origin call it
-    for point in np.concatenate([POLES, v[2:7]]):
-        assert np.array_equal(basis_at(point[None, :], L),
-                              reference_basis_at(point[None, :], L))
+    want = reference_basis_at(v, L) @ c
+    got = values_at(c, L, v)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # one point at a time, as encloses_origin calls it
+    for point, value in zip(v[:7], want[:7]):
+        got = values_at(c, L, point[None, :])
+        assert got.shape == (1,)
+        assert abs(got[0] - value) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 16, 24])
@@ -266,21 +271,23 @@ def test_theta_block_matches_reference_bitwise(L):
         assert np.array_equal(a, b)
 
 
-def counting_basis_at(monkeypatch):
+def counting_theta_blocks(monkeypatch):
     calls = []
-    original = sphere.basis_at
+    original = sphere._theta_block
 
-    def counted(unit_vectors, L):
+    def counted(L, ct, st):
         calls.append(L)
-        return original(unit_vectors, L)
+        return original(L, ct, st)
 
-    monkeypatch.setattr(sphere, "basis_at", counted)
+    monkeypatch.setattr(sphere, "_theta_block", counted)
     return calls
 
 
 def test_r0_is_computed_once_per_graph(monkeypatch):
     g = corpus_graph(5, L=8, c1_target=0.05, scale=2.0, center=(5.0, 1.0, 0.0))
-    calls = counting_basis_at(monkeypatch)
+    h = SphereGraph(g.center, g.scale, g.L, 0.5 * g.coeffs)
+    # each Newton step of the polish builds the Legendre block at its point
+    calls = counting_theta_blocks(monkeypatch)
     first = g.r0()
     assert calls
     n_first = len(calls)
@@ -288,13 +295,81 @@ def test_r0_is_computed_once_per_graph(monkeypatch):
     assert len(calls) == n_first
 
     # a new graph gets its own search and its own value
-    h = g.with_coeffs(0.5 * g.coeffs)
     assert h.r0() != first
     assert len(calls) > n_first
     assert g.r0() == first
 
 
-# --- basis matrices against the per-(l, m) reference construction ---
+# --- r0 against closed forms and the simplex search it replaces ---
+
+def reference_r0(graph):
+    """Guard-grid minimum polished by a Nelder-Mead search in the chart
+    angles, from a non-degenerate initial simplex."""
+    grid = sphere._guard_grid(graph.L)
+    dist = np.linalg.norm(graph.points(grid), axis=-1)
+    k = int(np.argmin(dist))
+    x0 = np.array([grid.theta[k // grid.n_phi], grid.phi[k % grid.n_phi]])
+
+    def objective(tp):
+        st, ct = math.sin(tp[0]), math.cos(tp[0])
+        n = np.array([st * math.cos(tp[1]), st * math.sin(tp[1]), ct])
+        return float(np.linalg.norm(
+            graph.center + graph.radial_values(n[None, :])[0] * n))
+
+    simplex = x0 + np.array([[0.0, 0.0], [0.05, 0.0], [0.0, 0.05]])
+    res = optimize.minimize(objective, x0, method="Nelder-Mead", options={
+        "xatol": 1e-12, "fatol": 1e-15, "maxfev": 4000,
+        "initial_simplex": simplex})
+    return min(float(dist[k]), float(res.fun))
+
+
+def scan_round_directions(seed, n=40):
+    """The |xi| = 2 directions of the scan-round benchmark workload."""
+    out = []
+    for i in range(n):
+        xi = np.random.default_rng([seed, i]).standard_normal(3)
+        out.append(xi * (2.0 / np.linalg.norm(xi)))
+    return out
+
+
+@pytest.mark.parametrize("lam", [4.0, 32.0])
+def test_r0_matches_closed_form_on_round_spheres(lam):
+    axes = [sign * e for e in np.eye(3) * 2.0 for sign in (1.0, -1.0)]
+    for xi in scan_round_directions(2) + axes:
+        graph = SphereGraph.round_sphere(lam, center=lam * xi, L=24)
+        exact = lam * (np.linalg.norm(xi) - 1.0)
+        assert abs(graph.r0() - exact) <= 1e-12 * exact, xi
+
+
+@pytest.mark.parametrize("c20", [0.02, -0.02])
+def test_r0_at_pole_and_ring_minima(c20):
+    coeffs = np.zeros(n_coeffs(8))
+    coeffs[lm_index(2, 0)] = c20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for center in ((0.0, 0.0, 0.0), (0.0, 0.0, 9.0), (0.0, 0.0, -9.0),
+                       (0.0, 0.0, 0.5)):
+            graph = SphereGraph(np.array(center), 3.0, 8, coeffs)
+            r0 = graph.r0()
+            assert np.isfinite(r0)
+            assert abs(r0 - reference_r0(graph)) <= 1e-12 * r0, center
+            if not any(center):
+                # c20 > 0: a ring at the equator; c20 < 0: the two poles
+                exact = 3.0 * (1.0 + min(-0.5 * c20, c20)
+                               * math.sqrt(5.0 / FOUR_PI))
+                assert abs(r0 - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_r0_matches_reference_search(seed):
+    for center in ((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (0.0, 0.0, 9.0),
+                   (6.0, -5.0, 3.0)):
+        graph = corpus_graph(seed, center=center)
+        r0 = graph.r0()
+        assert abs(r0 - reference_r0(graph)) <= 1e-12 * r0, center
+
+
+# --- the dense jet matrices, built one (l, m) column at a time ---
 
 def reference_basis_matrices(grid, L):
     """The six jet matrices filled one (l, m) column at a time."""
@@ -318,41 +393,6 @@ def reference_basis_matrices(grid, L):
     return mats
 
 
-def basis_keys(grid):
-    return {k for k in grid._cache if k[0] == "B"}
-
-
-@pytest.mark.parametrize("L", [0, 1, 2, 8, 16, 24])
-def test_basis_matrices_match_reference_bitwise(L):
-    grid = QuadratureGrid(L + 2, 2 * L + 3)
-    want = reference_basis_matrices(grid, L)
-    got = grid.basis_matrices(L)
-    assert set(got) == set(JET_KEYS)
-    for key in JET_KEYS:
-        assert np.array_equal(got[key], want[key]), key
-        assert got[key].flags.c_contiguous
-        assert got[key].shape == (grid.n_nodes, n_coeffs(L))
-
-
-@pytest.mark.parametrize("keys", [("val", "dth", "dph"), ("dphph",),
-                                  ("dthph", "val")])
-def test_basis_matrices_build_only_the_requested_keys(keys):
-    L = 8
-    grid = QuadratureGrid(L + 3, 2 * L + 4)
-    want = reference_basis_matrices(grid, L)
-    got = grid.basis_matrices(L, keys=keys)
-    assert set(got) == set(keys)
-    assert basis_keys(grid) == {("B", L, k) for k in keys}
-    for key in keys:
-        assert np.array_equal(got[key], want[key])
-        assert got[key].flags.c_contiguous
-    # a later request for every key reuses the cached ones
-    again = grid.basis_matrices(L)
-    for key in keys:
-        assert again[key] is got[key]
-    assert basis_keys(grid) == {("B", L, k) for k in JET_KEYS}
-
-
 def test_quadrature_grid_is_shared_per_shape():
     grid = quadrature_grid(10, 19)
     assert quadrature_grid(10, 19) is grid
@@ -366,7 +406,7 @@ def test_grid_arrays_are_read_only():
     held = [grid.cos_theta, grid.sin_theta, grid.theta, grid.theta_weights,
             grid.phi, grid.weights, grid.nodes]
     held += list(grid.frames()) + list(grid.theta_block(4))
-    held += list(grid.trig_block(4)) + list(grid.basis_matrices(4).values())
+    held += list(grid.trig_block(4))
     held += list(grid.theta_columns(4))
     for array in held:
         with pytest.raises(ValueError):
