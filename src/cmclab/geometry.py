@@ -99,10 +99,14 @@ def _second_form(nu_cov, Gam, Xth, Xph, Xthth, Xthph, Xphph):
 
 
 def _background(model: mt.MetricModel, X):
-    """(g3, Gam, g3inv) at the points X, or None in the flat model."""
+    """(g3, Gam, g3inv) at the points X, or None in the flat model.
+
+    The Christoffel symbols need only first metric derivatives, so the metric
+    is evaluated at ``order=1``.
+    """
     if model.kind == mt.EUCLIDEAN:
         return None
-    g3, dg3, _ = mt.evaluate_metric(model, X)
+    g3, dg3 = mt.evaluate_metric(model, X, order=1)
     Gam, g3inv = mt.christoffel(g3, dg3)
     return g3, Gam, g3inv
 
@@ -280,7 +284,7 @@ def build_geometry(graph: SphereGraph, model: mt.MetricModel,
     sec = _contract(g3, _contract(riem, Xth, Xph, Xph), Xth)
     K = (sec + h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] ** 2) / det
 
-    u, _, _ = mt.conformal_factor(model, X)
+    u = mt.conformal_factor(model, X, order=1)[0]
     return GeometryCache(
         graph=graph, model=model, grid=grid, X=X, r=r, Xth=Xth, Xph=Xph,
         nu=nu, nu_bar=nu_bar, g_ind=gind, gbar_ind=gbar, ginv_ind=ginv,
@@ -305,7 +309,7 @@ def area_element_comparison_residual(cache: GeometryCache) -> np.ndarray:
     1/|x| for perturbed models.
     """
     _require_curved(cache, "area element comparison")
-    sig, _, _ = mt.sigma_with_derivatives(cache.model, cache.X)
+    sig, _ = mt.sigma_with_derivatives(cache.model, cache.X, order=1)
     tr = _trace(cache.ginv_ind, _pullback(sig, cache.Xth, cache.Xph))
     return cache.J / cache.J_bar - cache.u**4 * (1.0 + 0.5 * tr)
 
@@ -326,7 +330,7 @@ def mean_curvature_comparison_residual(cache: GeometryCache) -> np.ndarray:
     rhs = cache.H_bar - (2.0 * m / cache.r**3) * x_dot_nubar / u
 
     if cache.model.kind == mt.PERTURBED:
-        sig, dsig, _ = mt.sigma_with_derivatives(cache.model, cache.X)
+        sig, dsig = mt.sigma_with_derivatives(cache.model, cache.X, order=1)
         ginv, nu, Xth, Xph = cache.ginv_ind, cache.nu, cache.Xth, cache.Xph
         # <sigma, h> over the surface with the induced metric
         sig_h = _inner(ginv, _pullback(sig, Xth, Xph), cache.h)

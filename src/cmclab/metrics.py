@@ -7,14 +7,20 @@ Three model kinds are supported:
 * ``perturbed``     : schwarzschild plus a symmetric decaying tensor field
   sigma_ij built from closed-form terms amplitude * |x|^-p * profile(x/|x|).
 
-Every evaluation returns the tensor together with its first and second
-coordinate derivatives in closed form, so downstream curvature assembly never
-relies on numerical differentiation.  The derivative of the Christoffel
-symbols is assembled as g^kl (1/2 d_m lower_lij - d_m g_ln Gamma^n_ij) from
-one first-kind combination ``lower`` of dg and ddg, without the derivative
-of the inverse metric.  All evaluators accept arrays of points
-with shape (..., 3) and preserve the input dtype; complex inputs are allowed
-(used for step-free directional derivatives elsewhere).
+Every evaluation returns the tensor together with its coordinate
+derivatives in closed form, so downstream curvature assembly never relies on
+numerical differentiation.  The argument ``order`` selects how many: the
+first derivatives (``order=1``, all the Christoffel symbols need) or also the
+second (``order=2``, the default, for the curvature tensors); the first
+``order + 1`` arrays are the same bytes at either order.  The Christoffel
+symbols take the inverse metric from cofactors (``_inv3``) and contract it
+with the first-kind combination ``lower`` of dg in one batched matmul.  The
+derivative of the Christoffel symbols is assembled as
+g^kl (1/2 d_m lower_lij - d_m g_ln Gamma^n_ij) from the first-kind
+combination of ddg, without the derivative of the inverse metric.  All
+evaluators accept arrays of points with shape (..., 3) and preserve the
+input dtype; complex inputs are allowed (used for step-free directional
+derivatives elsewhere).
 """
 
 from __future__ import annotations
@@ -143,22 +149,32 @@ def check_domain(model: MetricModel, x: np.ndarray) -> None:
         )
 
 
-def conformal_factor(model: MetricModel, x: np.ndarray):
+def _check_order(order) -> None:
+    if order not in (1, 2):
+        raise ValueError(f"derivative order must be 1 or 2, got {order!r}")
+
+
+def conformal_factor(model: MetricModel, x: np.ndarray, order: int = 2):
     """Return (u, du, ddu) for the conformal factor u = 1 + m/(2|x|).
 
     du has shape (..., 3) with du[..., k] = d_k u, and ddu has shape
-    (..., 3, 3).  For the flat model u is identically 1.
+    (..., 3, 3).  For the flat model u is identically 1.  ``order=1``
+    returns (u, du) and does not form ddu.
     """
+    _check_order(order)
     x = np.asarray(x)
     base = x.shape[:-1]
     if model.kind == EUCLIDEAN or model.mass == 0.0:
         one = np.ones(base, dtype=x.dtype if np.iscomplexobj(x) else float)
-        return one, np.zeros(base + (3,), dtype=one.dtype), np.zeros(base + (3, 3), dtype=one.dtype)
+        shapes = (base + (3,), base + (3, 3))[:order]
+        return (one,) + tuple(np.zeros(shape, dtype=one.dtype) for shape in shapes)
     m = model.mass
     r = _radius(x)
     u = 1.0 + 0.5 * m / r
     r3 = r**3
     du = -0.5 * m * x / r3[..., None]
+    if order == 1:
+        return u, du
     eye = np.eye(3)
     ddu = -0.5 * m * (
         eye / r3[..., None, None]
@@ -188,8 +204,11 @@ def _smoothstep(t):
     return s, ds, dds
 
 
-def _monomial_radial(x, r, expo, q):
-    """Value/gradient/Hessian of x1^a x2^b x3^c * |x|^(-q), closed form."""
+def _monomial_radial(x, r, expo, q, order):
+    """Value/gradient/Hessian of x1^a x2^b x3^c * |x|^(-q), closed form.
+
+    The Hessian is None at ``order=1``.
+    """
     a = np.array(expo, dtype=float)
     dtype = x.dtype
     base = x.shape[:-1]
@@ -206,7 +225,6 @@ def _monomial_radial(x, r, expo, q):
     rq = r ** (-float(q))
     val = mono(a) * rq
     grad = np.zeros(base + (3,), dtype=dtype)
-    hess = np.zeros(base + (3, 3), dtype=dtype)
     r2 = r * r
     for k in range(3):
         if a[k] > 0:
@@ -214,6 +232,9 @@ def _monomial_radial(x, r, expo, q):
             ek[k] -= 1
             grad[..., k] = a[k] * mono(ek) * rq
         grad[..., k] = grad[..., k] - q * mono(a) * x[..., k] * rq / r2
+    if order == 1:
+        return val, grad, None
+    hess = np.zeros(base + (3, 3), dtype=dtype)
     for k in range(3):
         for l in range(k, 3):
             term = np.zeros(base, dtype=dtype)
@@ -236,22 +257,23 @@ def _monomial_radial(x, r, expo, q):
     return val, grad, hess
 
 
-def sigma_with_derivatives(model: MetricModel, x: np.ndarray):
+def sigma_with_derivatives(model: MetricModel, x: np.ndarray, order: int = 2):
     """Return (sigma, dsigma, ddsigma) of the perturbation field.
 
     Shapes: (..., 3, 3), (..., 3, 3, 3) with dsigma[..., k, i, j] = d_k sigma_ij,
     and (..., 3, 3, 3, 3) with ddsigma[..., k, l, i, j].  Identically zero for
-    the unperturbed kinds.
+    the unperturbed kinds.  ``order=1`` returns (sigma, dsigma), the same
+    bytes, without forming any second derivative.
     """
+    _check_order(order)
     x = np.asarray(x)
     dtype = np.result_type(x, 1.0)
     x = x.astype(dtype)
     base = x.shape[:-1]
-    sig = np.zeros(base + (3, 3), dtype=dtype)
-    dsig = np.zeros(base + (3, 3, 3), dtype=dtype)
-    ddsig = np.zeros(base + (3, 3, 3, 3), dtype=dtype)
+    out = tuple(np.zeros(base + (3,) * (2 + k), dtype=dtype)
+                for k in range(order + 1))
     if model.kind != PERTURBED:
-        return sig, dsig, ddsig
+        return out
 
     spec = model.perturbation
     r = _radius(x)
@@ -266,88 +288,118 @@ def sigma_with_derivatives(model: MetricModel, x: np.ndarray):
     for term in spec.terms:
         val = np.zeros(base, dtype=dtype)
         grad = np.zeros(base + (3,), dtype=dtype)
-        hess = np.zeros(base + (3, 3), dtype=dtype)
+        hess = np.zeros(base + (3, 3), dtype=dtype) if order == 2 else None
         for coeff, expo in term.profile:
             q = term.power + sum(expo)
-            v, g, h = _monomial_radial(x, r, expo, q)
+            v, g, h = _monomial_radial(x, r, expo, q, order)
             val = val + coeff * v
             grad = grad + coeff * g
-            hess = hess + coeff * h
+            if order == 2:
+                hess = hess + coeff * h
         val = term.amplitude * val
         grad = term.amplitude * grad
-        hess = term.amplitude * hess
 
         # ramped field s(r) * core, with d_k r = x_k / r
         tval = s * val
         tgrad = ds_dr[..., None] * rhat * val[..., None] + s[..., None] * grad
-        eye = np.eye(3)
-        rr = rhat[..., :, None] * rhat[..., None, :]
-        drhat = eye / r[..., None, None] - rr / r[..., None, None]
-        thess = (
-            dds_dr[..., None, None] * rr * val[..., None, None]
-            + ds_dr[..., None, None]
-            * (
-                drhat * val[..., None, None]
-                + rhat[..., :, None] * grad[..., None, :]
-                + rhat[..., None, :] * grad[..., :, None]
+        ramped = [tval, tgrad]
+        if order == 2:
+            hess = term.amplitude * hess
+            eye = np.eye(3)
+            rr = rhat[..., :, None] * rhat[..., None, :]
+            drhat = eye / r[..., None, None] - rr / r[..., None, None]
+            ramped.append(
+                dds_dr[..., None, None] * rr * val[..., None, None]
+                + ds_dr[..., None, None]
+                * (
+                    drhat * val[..., None, None]
+                    + rhat[..., :, None] * grad[..., None, :]
+                    + rhat[..., None, :] * grad[..., :, None]
+                )
+                + s[..., None, None] * hess
             )
-            + s[..., None, None] * hess
-        )
 
         for (i, j) in {(term.i, term.j), (term.j, term.i)}:
-            sig[..., i, j] += tval
-            dsig[..., :, i, j] += tgrad
-            ddsig[..., :, :, i, j] += thess
-    return sig, dsig, ddsig
+            for field, value in zip(out, ramped):
+                field[..., i, j] += value
+    return out
 
 
-def evaluate_metric(model: MetricModel, x: np.ndarray):
-    """Evaluate g_ij and its two derivative orders at points x.
+def evaluate_metric(model: MetricModel, x: np.ndarray, order: int = 2):
+    """Evaluate g_ij and its derivatives up to ``order`` (1 or 2) at points x.
 
     Returns (g, dg, ddg) with shapes (..., 3, 3), (..., 3, 3, 3) and
     (..., 3, 3, 3, 3); dg[..., k, i, j] = d_k g_ij and
-    ddg[..., k, l, i, j] = d_k d_l g_ij.  Points in the excluded region raise
-    DomainError.
+    ddg[..., k, l, i, j] = d_k d_l g_ij.  ``order=1`` returns (g, dg), the
+    same bytes as at ``order=2``, without forming ddg or any second
+    derivative of the conformal factor or the perturbation; the Christoffel
+    symbols need no more.  Points in the excluded region raise DomainError
+    at either order.
     """
+    _check_order(order)
     x = np.asarray(x)
     check_domain(model, x)
     dtype = np.result_type(x, 1.0)
     x = x.astype(dtype)
     base = x.shape[:-1]
     eye = np.eye(3, dtype=dtype)
-    g = np.broadcast_to(eye, base + (3, 3)).copy()
-    dg = np.zeros(base + (3, 3, 3), dtype=dtype)
-    ddg = np.zeros(base + (3, 3, 3, 3), dtype=dtype)
     if model.kind == EUCLIDEAN:
-        return g, dg, ddg
+        g = np.broadcast_to(eye, base + (3, 3)).copy()
+        return (g,) + tuple(np.zeros(base + (3,) * (2 + k), dtype=dtype)
+                            for k in range(1, order + 1))
 
-    u, du, ddu = conformal_factor(model, x)
+    u, du, *ddu = conformal_factor(model, x, order)
     u3 = u**3
-    g = (u**4)[..., None, None] * eye
-    dg = (4.0 * u3[..., None] * du)[..., :, None, None] * eye
-    ddg = (
-        12.0 * (u * u)[..., None, None] * du[..., :, None] * du[..., None, :]
-        + 4.0 * u3[..., None, None] * ddu
-    )[..., :, :, None, None] * eye
+    out = [(u**4)[..., None, None] * eye,
+           (4.0 * u3[..., None] * du)[..., :, None, None] * eye]
+    if order == 2:
+        out.append((
+            12.0 * (u * u)[..., None, None] * du[..., :, None] * du[..., None, :]
+            + 4.0 * u3[..., None, None] * ddu[0]
+        )[..., :, :, None, None] * eye)
 
     if model.kind == PERTURBED:
-        sig, dsig, ddsig = sigma_with_derivatives(model, x)
-        g = g + sig
-        dg = dg + dsig
-        ddg = ddg + ddsig
-    return g, dg, ddg
+        out = [a + b for a, b in zip(out, sigma_with_derivatives(model, x, order))]
+    return tuple(out)
 
 
 def _first_kind(dg):
     """d_i g_lj + d_j g_il - d_l g_ij at [..., l, i, j] from dg[..., k, i, j]
-    = d_k g_ij; any leading derivative index (as in ddg) is carried along."""
-    return np.swapaxes(dg, -3, -2) + np.einsum("...jil->...lij", dg) - dg
+    = d_k g_ij; any leading derivative index (as in ddg) is carried along.
+    The result is C-contiguous, so its trailing (3, 3) reshapes to 9 as a
+    view."""
+    out = np.add(np.swapaxes(dg, -3, -2), np.swapaxes(dg, -3, -1),
+                 out=np.empty(dg.shape, dtype=dg.dtype))
+    out -= dg
+    return out
+
+
+def _inv3(g):
+    """Inverse of a stack of symmetric 3x3 matrices by cofactors; the 3x3
+    twin of ``geometry._inv2``.  Complex-safe: no conjugation."""
+    a, b, c = g[..., 0, 0], g[..., 0, 1], g[..., 0, 2]
+    d, e, f = g[..., 1, 1], g[..., 1, 2], g[..., 2, 2]
+    c00 = d * f - e * e
+    c01 = c * e - b * f
+    c02 = b * e - c * d
+    det = a * c00 + b * c01 + c * c02
+    inv = np.empty(g.shape, dtype=g.dtype)
+    inv[..., 0, 0] = c00 / det
+    inv[..., 0, 1] = inv[..., 1, 0] = c01 / det
+    inv[..., 0, 2] = inv[..., 2, 0] = c02 / det
+    inv[..., 1, 1] = (a * f - c * c) / det
+    inv[..., 1, 2] = inv[..., 2, 1] = (b * c - a * e) / det
+    inv[..., 2, 2] = (a * d - b * b) / det
+    return inv
 
 
 def christoffel(g, dg):
-    """Gamma^k_ij = 1/2 g^kl (d_i g_lj + d_j g_il - d_l g_ij)."""
-    ginv = np.linalg.inv(g)
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _first_kind(dg)), ginv
+    """Gamma^k_ij = 1/2 g^kl (d_i g_lj + d_j g_il - d_l g_ij), as one batched
+    (3, 3) @ (3, 9) matmul; returns (Gamma, g^-1)."""
+    ginv = _inv3(g)
+    base = g.shape[:-2]
+    lower = _first_kind(dg).reshape(base + (3, 9))
+    return 0.5 * (ginv @ lower).reshape(base + (3, 3, 3)), ginv
 
 
 def curvature_tensors(model: MetricModel, x: np.ndarray, metric=None,

@@ -275,14 +275,17 @@ def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
 
 
 def _deflate(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """P A P without row and column 0, symmetrised, for the reflector
-    P = I - 2 v v^T of a unit v and a symmetric A: the rank-two update
-    A - 2 (v w^T + w v^T) with w = A v - (v^T A v) v."""
+    """P A P without row and column 0, for the reflector P = I - 2 v v^T of
+    a unit v and a symmetric A: the rank-two update A - 2 (v w^T + w v^T)
+    with w = A v - (v^T A v) v.  Two n x n arrays are made (the outer product
+    and the result); the result is symmetric up to rounding, and ``eigh``
+    reads only its lower triangle."""
     w = A @ v
     w -= (v @ w) * v
-    vw = np.outer(v[1:], w[1:])
-    B = A[1:, 1:] - 2.0 * (vw + vw.T)
-    return 0.5 * (B + B.T)
+    vw = np.outer(-2.0 * v[1:], w[1:])
+    B = A[1:, 1:] + vw
+    B += vw.T
+    return B
 
 
 def stability_spectrum(report: SolveReport, model: mt.MetricModel, k: int = 8,

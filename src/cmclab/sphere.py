@@ -262,29 +262,49 @@ def _legendre(L: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
     return P
 
 
+@functools.lru_cache(maxsize=None)
+def _ladder(L: int):
+    """Index and coefficient arrays of ``_theta_block``, built once per L.
+
+    Returns read-only (lt, mt, ls, ms, c1, c2): the pairs (lt, mt) with
+    0 <= m <= l, and the pairs (ls, ms) among them with m >= 1 with the
+    coefficients c1 = sqrt((l - m)(l + m + 1)), which is 0 at m = l, and
+    c2 = sqrt((l + m)(l - m + 1)) of the ladder identity.
+    """
+    lt, mt = np.tril_indices(L + 1)
+    ls, ms = lt[mt > 0], mt[mt > 0]
+    c1 = np.sqrt((ls - ms) * (ls + ms + 1.0))[:, None]
+    c2 = np.sqrt((ls + ms) * (ls - ms + 1.0))[:, None]
+    return _frozen(lt, mt, ls, ms, c1, c2)
+
+
 def _theta_block(L: int, ct: np.ndarray, st: np.ndarray):
     """Orthonormalized associated Legendre stack and theta-derivatives.
 
     Returns (P, dP, ddP), each of shape (L+1, L+1, npts), with P from
     ``_legendre``.  First derivatives come from the ladder identity, second
     derivatives from the defining ODE; both are exact and pole-free on
-    Gauss-Legendre nodes.
+    Gauss-Legendre nodes.  Each identity is one array step over all (l, m)
+    at once, with the coefficients of ``_ladder``.
     """
     P = _legendre(L, ct, st)
     dP = np.zeros_like(P)
     ddP = np.zeros_like(P)
-    for l in range(1, L + 1):
-        dP[l, 0] = math.sqrt(l * (l + 1.0)) * P[l, 1]
-        for m in range(1, l + 1):
-            up = P[l, m + 1] if m + 1 <= l else 0.0
-            c1 = math.sqrt((l - m) * (l + m + 1.0))
-            c2 = math.sqrt((l + m) * (l - m + 1.0))
-            dP[l, m] = 0.5 * (c1 * up - c2 * P[l, m - 1])
+    lt, mt, ls, ms, c1, c2 = _ladder(L)
+    if L > 0:
+        l = np.arange(1, L + 1)
+        dP[1:, 0] = np.sqrt(l * (l + 1.0))[:, None] * P[1:, 1]
+    # P[l, m + 1] is zero at m = l (and past the last column at l = L), and
+    # c1 is zero there
+    up = np.zeros((ls.size, P.shape[2]))
+    inner = ms < ls
+    up[inner] = P[ls[inner], ms[inner] + 1]
+    dP[ls, ms] = 0.5 * (c1 * up - c2 * P[ls, ms - 1])
     cot = ct / st
     inv_st2 = 1.0 / (st * st)
-    for l in range(L + 1):
-        for m in range(l + 1):
-            ddP[l, m] = -cot * dP[l, m] - (l * (l + 1.0) - m * m * inv_st2) * P[l, m]
+    ddP[lt, mt] = (-cot * dP[lt, mt]
+                   - ((lt * (lt + 1.0))[:, None] - (mt * mt)[:, None] * inv_st2)
+                   * P[lt, mt])
     return P, dP, ddP
 
 

@@ -1,5 +1,6 @@
 """Geometry engine: curvatures, measures, and the two comparison laws."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -178,6 +179,33 @@ def test_build_geometry_evaluates_the_metric_once(model, grid, monkeypatch):
     build_geometry(bumpy(5, scale=4.0, center=(8.0, 0.0, 1.0)), model, grid)
     curved = model.kind != mt.EUCLIDEAN
     assert calls == {"evaluate_metric": int(curved), "christoffel": int(curved)}
+
+
+@pytest.mark.parametrize("model", [mt.schwarzschild_model(1.0), PERTURBED],
+                         ids=["schwarzschild", "perturbed"])
+def test_solver_background_needs_first_derivatives_only(model, grid,
+                                                        monkeypatch):
+    # the Newton background (background_at, and mean_curvature_from_jets on
+    # real and complex jets) never asks for second metric derivatives
+    orders = []
+    original = mt.evaluate_metric
+
+    def counted(model, x, order=2):
+        orders.append(order)
+        return original(model, x, order=order)
+
+    monkeypatch.setattr(mt, "evaluate_metric", counted)
+    graph = bumpy(5, scale=4.0, center=(8.0, 0.0, 1.0))
+    jets = synthesize(graph.coeffs, grid, graph.L)
+    background = background_at(jets, graph.center, graph.scale, model, grid)
+    H = mean_curvature_from_jets(jets, graph.center, graph.scale, model, grid)
+    complex_jets = dataclasses.replace(jets, f=jets.f + 1e-20j * jets.dth)
+    mean_curvature_from_jets(complex_jets, graph.center, graph.scale, model,
+                             grid)
+    assert orders == [1, 1, 1]
+    assert np.array_equal(H, mean_curvature_from_jets(
+        jets, graph.center, graph.scale, model, grid, background=background))
+    assert orders == [1, 1, 1]
 
 
 @pytest.mark.parametrize("model", [mt.euclidean_model(),

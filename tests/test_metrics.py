@@ -43,6 +43,14 @@ PERTURBED = mt.perturbed_model(
     )))
 
 
+def sample_points(rng, n, step=0.0):
+    """n points with 2.5 <= |x| <= 10.5 (both sides of the perturbation's
+    ramp), shifted by an imaginary step when ``step`` is nonzero."""
+    x = rng.uniform(-1, 1, (n, 3))
+    x *= (2.5 + 8.0 * rng.random(n))[:, None] / np.linalg.norm(x, axis=1)[:, None]
+    return x + 1j * step * rng.standard_normal((n, 3)) if step else x
+
+
 def test_euclidean_identity():
     pts = np.array([[1.5, 0.0, 0.0], [3.0, -2.0, 1.0]])
     g, dg, ddg = mt.evaluate_metric(mt.euclidean_model(), pts)
@@ -183,7 +191,8 @@ def test_curvature_tensors_reuse_a_given_metric_bitwise(model, rng):
     x = 3.0 + 4.0 * rng.random((20, 3))
     metric = mt.evaluate_metric(model, x)
     connection = mt.christoffel(metric[0], metric[1])
-    assert np.array_equal(connection[1], np.linalg.inv(metric[0]))
+    ref = np.linalg.inv(metric[0])
+    assert np.max(np.abs(connection[1] - ref)) <= 1e-14 * np.max(np.abs(ref))
     want = mt.curvature_tensors(model, x)
     for got in (mt.curvature_tensors(model, x, metric=metric),
                 mt.curvature_tensors(model, x, metric=metric,
@@ -215,9 +224,7 @@ def reference_curvature_tensors(model, x):
 def test_curvature_tensors_match_the_inverse_derivative_route(model, step, rng):
     # real points and complex-step points, whose imaginary parts are the
     # directional derivatives of each tensor
-    x = rng.uniform(-1, 1, (2048, 3))
-    x *= (2.5 + 8.0 * rng.random(2048))[:, None] / np.linalg.norm(x, axis=1)[:, None]
-    x = x + 1j * step * rng.standard_normal((2048, 3)) if step else x
+    x = sample_points(rng, 2048, step)
     # R vanishes in schwarzschild, so every tensor is held to the Riemann scale
     got = mt.curvature_tensors(model, x)[1:]
     want = reference_curvature_tensors(model, x)[1:]
@@ -226,3 +233,71 @@ def test_curvature_tensors_match_the_inverse_derivative_route(model, step, rng):
         assert (scale > 0.0) == (part is np.real or step > 0.0)
         for g, w in zip(got, want):
             assert np.max(np.abs(part(g) - part(w))) <= 1e-13 * scale
+
+
+MODELS = [mt.euclidean_model(), mt.schwarzschild_model(1.5), PERTURBED]
+MODEL_IDS = ["euclidean", "schwarzschild", "perturbed"]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+@pytest.mark.parametrize("step", [0.0, 1e-20], ids=["real", "complex-step"])
+def test_first_order_evaluation_is_the_same_bytes(model, step, rng):
+    x = sample_points(rng, 512, step)
+    first = mt.evaluate_metric(model, x, order=1)
+    full = mt.evaluate_metric(model, x)
+    assert len(first) == 2 and len(full) == 3
+    for got, want in zip(first, full):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    sig_first = mt.sigma_with_derivatives(model, x, order=1)
+    sig_full = mt.sigma_with_derivatives(model, x)
+    assert len(sig_first) == 2
+    for got, want in zip(sig_first, sig_full):
+        assert np.array_equal(got, want)
+
+
+def test_first_order_evaluation_keeps_the_domain_check():
+    with pytest.raises(DomainError):
+        mt.evaluate_metric(mt.schwarzschild_model(1.0),
+                           np.array([0.5, 0.0, 0.0]), order=1)
+
+
+@pytest.mark.parametrize("order", [0, 3, 1.5])
+def test_derivative_order_guard(order):
+    x = np.array([3.0, 0.0, 0.0])
+    for evaluate in (mt.evaluate_metric, mt.sigma_with_derivatives,
+                     mt.conformal_factor):
+        with pytest.raises(ValueError):
+            evaluate(PERTURBED, x, order=order)
+
+
+@pytest.mark.parametrize("model", MODELS[1:], ids=MODEL_IDS[1:])
+def test_cofactor_inverse_matches_lapack(model, rng):
+    g = mt.evaluate_metric(model, sample_points(rng, 2048), order=1)[0]
+    want = np.linalg.inv(g)
+    got = mt._inv3(g)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # a generic symmetric positive definite stack, far from the identity
+    a = rng.standard_normal((256, 3, 3))
+    spd = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(3)
+    want = np.linalg.inv(spd)
+    rel = np.max(np.abs(mt._inv3(spd) - want), axis=(1, 2)) / (
+        np.max(np.abs(want), axis=(1, 2)) * np.linalg.cond(spd))
+    assert np.max(rel) <= 1e-14
+
+
+def test_cofactor_inverse_complex_step(rng):
+    # d/dt (g + t dg)^-1 = -g^-1 dg g^-1, read off the imaginary part
+    model = PERTURBED
+    x = sample_points(rng, 256)
+    g, dg = mt.evaluate_metric(model, x, order=1)
+    direction = rng.standard_normal((256, 3))
+    dg_dir = np.einsum("nk,nkij->nij", direction, dg)
+    step = 1e-20
+    got = np.imag(mt._inv3(g + 1j * step * dg_dir)) / step
+    ginv = np.linalg.inv(g)
+    want = -ginv @ dg_dir @ ginv
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the same through the metric's own complex-step evaluation
+    gc = mt.evaluate_metric(model, x + 1j * step * direction, order=1)[0]
+    got = np.imag(mt._inv3(gc)) / step
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
