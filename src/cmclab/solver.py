@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.optimize import brentq
 
 from . import metrics as mt
 from .errors import (DomainError, EmbeddingError, GeometryError,
@@ -48,7 +47,8 @@ ARMIJO_SLOPE = 1e-4
 MAX_BAD_STEPS = 5
 # ridge added to the diagonal of J^T J, relative to its mean diagonal entry
 RIDGE = 1e-11
-# radii that bracket round_seed_radius's root search
+# round_seed_radius's domain guards: the smallest radius that may seed a leaf
+# (it caps the attainable H), and the largest radius a seed may have
 SEED_R_MIN = 2.05
 SEED_R_MAX = 1e8
 
@@ -309,13 +309,22 @@ def round_seed_radius(model: mt.MetricModel, H_target: float) -> float:
     """Radius of the centered round sphere with mean curvature H_target.
 
     Takes the outer root: for positive mass H rises to its peak at
-    r* = m (2 + sqrt 3) / 2 (x = m/2r is the smaller root of x^2 - 4x + 1)
-    and falls monotonically beyond it, so one bracket from max(r*,
-    SEED_R_MIN) to SEED_R_MAX holds the root.
+    r* = m (2 + sqrt 3) / 2 and falls monotonically beyond it.  In
+    y = 1/2r (so that m y = m/2r) the law H(r) = H_target reads
+
+        f(y) = 4y (1 - m y) - H_target (1 + m y)^3 = 0,   0 < m y <= 2 - sqrt 3,
+
+    and the outer radius is the smallest root.  f is concave and
+    f(0) = -H_target < 0, so Newton from y = 0 climbs to that root without
+    overshooting; it stops when a step is no longer positive or no longer
+    moves y, and r = 1/2y.  For zero mass f is linear: one step gives
+    y = H_target/4 and r = 2/H_target exactly.  The guards in front keep
+    the root inside [max(r*, SEED_R_MIN), SEED_R_MAX].
     """
     if H_target <= 0.0:
         raise PreconditionError(f"H_target must be positive; got {H_target!r}")
-    lo = max(SEED_R_MIN, 0.5 * (2.0 + math.sqrt(3.0)) * model.mass)
+    m = model.mass
+    lo = max(SEED_R_MIN, 0.5 * (2.0 + math.sqrt(3.0)) * m)
     H_peak = round_mean_curvature(model, lo)
     if H_target > H_peak:
         raise PreconditionError(
@@ -325,8 +334,15 @@ def round_seed_radius(model: mt.MetricModel, H_target: float) -> float:
     if round_mean_curvature(model, SEED_R_MAX) > H_target:
         raise PreconditionError(f"no round sphere below radius {SEED_R_MAX} has "
                                 f"mean curvature {H_target!r}")
-    return float(brentq(lambda r: round_mean_curvature(model, r) - H_target,
-                        lo, SEED_R_MAX, xtol=1e-13, rtol=8.9e-16))
+    H = float(H_target)
+    y = 0.0
+    while True:
+        x = m * y
+        step = ((H * (1.0 + x) ** 3 - 4.0 * y * (1.0 - x))
+                / (4.0 - 8.0 * x - 3.0 * H * m * (1.0 + x) ** 2))
+        if not step > 0.0 or y + step == y:
+            return 0.5 / y
+        y += step
 
 
 @dataclass
