@@ -252,9 +252,6 @@ class FunctionalReport:
     FIELDS = ("area", "willmore", "hawking", "cy_lhs", "cy_rhs", "dlm_lambda",
               "dlm_ratio", "minkowski_deficit", "flux", "r0", "H_mean")
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
-
 
 def build_report(cache: GeometryCache) -> FunctionalReport:
     """Assemble the full functional report; the roundness ratio is nan on

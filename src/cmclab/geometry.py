@@ -213,20 +213,6 @@ class GeometryCache:
     def area_bar(self) -> float:
         return float(np.sum(self.grid.weights * self.J_bar))
 
-    def summary(self) -> dict:
-        """Integral quantities of the pair, JSON-ready."""
-        return {
-            "kind": self.model.kind,
-            "area": self.area(),
-            "area_flat": self.area_bar(),
-            "willmore": self.integrate(self.H**2),
-            "tracefree_energy": self.integrate(self.tf2),
-            "tracefree_energy_flat": self.integrate_bar(self.tf2_bar),
-            "total_gauss_curvature": self.integrate(self.K),
-            "min_H": float(np.min(self.H)),
-            "max_H": float(np.max(self.H)),
-        }
-
 
 def build_geometry(graph: SphereGraph, model: mt.MetricModel,
                    grid: QuadratureGrid) -> GeometryCache:

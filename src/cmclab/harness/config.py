@@ -207,26 +207,18 @@ class ExperimentConfig:
         return self.values[key]
 
     def model(self) -> mt.MetricModel:
+        """The background metric.  Only the perturbed kind reads the
+        perturbation keys, and the euclidean kind ignores metric.mass."""
         kind = self.values["metric.kind"]
-        mass = self.values["metric.mass"]
-        if kind not in (mt.EUCLIDEAN, mt.SCHWARZSCHILD, mt.PERTURBED):
-            raise ConfigError(f"metric.kind: unknown kind {kind!r}")
-        if mass < 0.0:
-            raise ConfigError(f"metric.mass: must be nonnegative, got {mass!r}")
         terms = self.values["metric.perturbation"]
-        if kind == mt.PERTURBED and terms is None:
-            raise ConfigError(
-                "metric.perturbation: required for metric.kind = perturbed")
         try:
-            if kind == mt.EUCLIDEAN:
-                return mt.euclidean_model()
-            if kind == mt.SCHWARZSCHILD:
-                return mt.schwarzschild_model(mass)
-            cutoff = self.values["metric.cutoff"]
-            return mt.perturbed_model(
-                mass, mt.PerturbationSpec(terms=terms, cutoff=cutoff))
+            spec = (mt.PerturbationSpec(terms, self.values["metric.cutoff"])
+                    if kind == mt.PERTURBED and terms is not None else None)
+            mass = 0.0 if kind == mt.EUCLIDEAN else self.values["metric.mass"]
+            return mt.MetricModel(kind, mass, spec)
         except ValueError as exc:
-            raise ConfigError(f"metric: {exc}") from None
+            # MetricModel and PerturbationSpec name the rejected field first
+            raise ConfigError(f"metric.{exc}") from None
 
     def grid(self) -> QuadratureGrid:
         L = self.values["grid.L"]

@@ -85,9 +85,9 @@ class PerturbationSpec:
 
     def __post_init__(self):
         if not np.isfinite(self.cutoff) or self.cutoff <= 1:
-            raise ValueError(f"cutoff radius must be > 1, got {self.cutoff}")
+            raise ValueError(f"cutoff: radius must be > 1, got {self.cutoff}")
         if not self.terms:
-            raise ValueError("perturbation needs at least one term")
+            raise ValueError("terms: a perturbation needs at least one term")
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,15 @@ class MetricModel:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown metric kind {self.kind!r}, expected one of {KINDS}")
+            raise ValueError(f"kind: unknown {self.kind!r}, expected one of {KINDS}")
         if not np.isfinite(self.mass) or self.mass < 0:
-            raise ValueError(f"mass must be a nonnegative real, got {self.mass}")
+            raise ValueError(f"mass: must be a nonnegative real, got {self.mass}")
         if self.kind == PERTURBED and self.perturbation is None:
-            raise ValueError("perturbed model requires a perturbation spec")
+            raise ValueError("perturbation: required by the perturbed model")
         if self.kind != PERTURBED and self.perturbation is not None:
-            raise ValueError(f"{self.kind} model does not take a perturbation")
+            raise ValueError(f"perturbation: the {self.kind} model takes none")
         if self.kind == EUCLIDEAN and self.mass != 0.0:
-            raise ValueError("euclidean model must have zero mass")
+            raise ValueError("mass: the euclidean model must have zero mass")
 
 
 def euclidean_model() -> MetricModel:

@@ -17,6 +17,12 @@ from ``synthesize``/``analyze``, so no solve or spectrum forms a dense
 node-by-coefficient matrix.  Grids come from the process-wide cache
 (``sphere.quadrature_grid``).
 
+Each Newton step is one square LU solve in a translation gauge.  Degree-1
+content duplicates translations of the center (a kernel of the Jacobian in
+flat space, a near-kernel of size 6m/R^3 in Schwarzschild), so a step puts it
+into the center, never into the coefficients (a Lyapunov-Schmidt split in the
+translation parameter, Ye 1996).
+
 Also provides the volume-constrained stability spectrum and continuation
 along a mean-curvature ladder (foliation tracing).
 """
@@ -27,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
 
 from . import metrics as mt
 from .errors import (DomainError, EmbeddingError, GeometryError,
@@ -45,8 +51,8 @@ ARMIJO_FACTOR = 0.5
 ARMIJO_FLOOR = 2.0**-10
 ARMIJO_SLOPE = 1e-4
 MAX_BAD_STEPS = 5
-# ridge added to the diagonal of J^T J, relative to its mean diagonal entry
-RIDGE = 1e-11
+# Y_1,-1, Y_10 and Y_11 are Y1_NORM * (-y, z, -x)
+Y1_NORM = math.sqrt(3.0 / (4.0 * math.pi))
 # round_seed_radius's domain guards: the smallest radius that may seed a leaf
 # (it caps the attainable H), and the largest radius a seed may have
 SEED_R_MIN = 2.05
@@ -125,12 +131,17 @@ def _node_jacobian(jets: SphereJets, background, center, scale, model, grid,
 
 def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
               opts: CmcOptions | None = None) -> SolveReport:
-    """Newton iteration on harmonic coefficients until H == H_target.
+    """Newton iteration on harmonic coefficients and center until H == H_target.
 
     The residual is the coefficient vector of H - H_target; its degree-0 row
-    matches the mean of H to the target (fixing the scale degeneracy) while
-    the higher rows drive the shape.  Damped steps use residual backtracking;
-    divergence, the iteration cap, mid-iteration embedding violations and an
+    matches the mean of H to the target (fixing the scale degeneracy), its
+    degree-1 rows are the translation force, and the higher rows drive the
+    shape.  In a translation-invariant model (mass 0, no perturbation), or
+    once the force is within the tolerance, a step solves the square block of
+    degrees other than 1; otherwise it solves the full system and turns its
+    degree-1 part into a center shift.  Damped steps move coefficients and
+    center together and use residual backtracking.  Divergence, the iteration
+    cap, a singular Jacobian, mid-iteration embedding violations and an
     initial surface the metric cannot be evaluated on all produce a
     non-converged report rather than an exception.
     """
@@ -142,7 +153,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
     center = initial.center
     scale = initial.scale
 
-    def evaluate(coeffs):
+    def evaluate(coeffs, center):
         fmax, gmax = c1_seminorms(coeffs, L)
         if fmax + gmax >= C1_EMBEDDING_BOUND:
             raise EmbeddingError("trial graph violates the embedding bound",
@@ -155,7 +166,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
 
     c = initial.coeffs.copy()
     try:
-        H, jets, background = evaluate(c)
+        H, jets, background = evaluate(c, center)
     except (DomainError, GeometryError) as exc:
         return SolveReport(converged=False, iterations=0,
                            final_residual=float("nan"), surface=initial,
@@ -164,6 +175,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
     res = H - H_target
     F = analyze(res, grid, L)
     norm = float(np.linalg.norm(F))
+    invariant = model.mass == 0.0 and model.perturbation is None
     bad_steps = 0
     message = ""
     iterations = 0
@@ -173,18 +185,29 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
             break
         iterations += 1
         J = _node_jacobian(jets, background, center, scale, model, grid, L)
-        JtJ = J.T @ J
-        lam = RIDGE * np.trace(JtJ) / JtJ.shape[0]
-        JtJ[np.diag_indices_from(JtJ)] += lam
-        step = cho_solve(cho_factor(JtJ, lower=True), -J.T @ F)
+        # the square system leaves degree 1 out unless a translation force
+        # must be balanced by a center shift
+        gauge_only = invariant or np.linalg.norm(F[1:4]) <= opts.tolerance
+        keep = np.r_[0, 4:F.size] if gauge_only else np.arange(F.size)
+        step = np.zeros_like(F)
+        try:
+            step[keep] = np.linalg.solve(J[np.ix_(keep, keep)], -F[keep])
+        except np.linalg.LinAlgError:
+            message = "singular Newton Jacobian"
+            break
+        # degree-1 content d . Y_1 = b . x, b = Y1_NORM (-d_2, -d_0, d_1), is
+        # to first order a translation by scale * b
+        shift = scale * Y1_NORM * np.array([-step[3], -step[1], step[2]])
+        step[1:4] = 0.0
 
         alpha = 1.0
         best = None
         accepted = False
         while alpha >= ARMIJO_FLOOR:
             trial = c + alpha * step
+            trial_center = center + alpha * shift
             try:
-                Ht_trial, jets_trial, bg_trial = evaluate(trial)
+                Ht_trial, jets_trial, bg_trial = evaluate(trial, trial_center)
             except (EmbeddingError, DomainError, GeometryError):
                 alpha *= ARMIJO_FACTOR
                 continue
@@ -192,8 +215,8 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
             F_trial = analyze(res_trial, grid, L)
             n_trial = float(np.linalg.norm(F_trial))
             if best is None or n_trial < best[0]:
-                best = (n_trial, trial, Ht_trial, jets_trial, bg_trial,
-                        res_trial, F_trial)
+                best = (n_trial, trial, trial_center, Ht_trial, jets_trial,
+                        bg_trial, res_trial, F_trial)
             if n_trial <= (1.0 - ARMIJO_SLOPE * alpha) * norm:
                 accepted = True
                 break
@@ -201,7 +224,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         if best is None:
             message = "every damped trial violated the embedding or domain bounds"
             break
-        n_best, c, H, jets, background, res, F = best
+        n_best, c, center, H, jets, background, res, F = best
         grew = n_best >= norm
         norm = n_best
         bad_steps = 0 if (accepted and not grew) else bad_steps + 1

@@ -442,7 +442,7 @@ def test_run_scan_solve_branch_records_nonconvergence(tmp_path):
     run_scan(config, str(out))
     (row,) = read_rows(out / "scan.csv")
     assert row["solve_converged"] == "false"
-    assert int(row["solve_iterations"]) == 10
+    assert 1 <= int(row["solve_iterations"]) <= 10
     assert np.isfinite(float(row["solve_residual"]))
     assert row["stability_eigenvalue"] == "nan"
     assert row["stable"] == "false"
@@ -499,10 +499,6 @@ def test_verify_check_schema(verify_report):
         assert check["value"] <= check["bound"]
 
 
-FLAT_SOLVE_CHECKS = {"euclid_solve_residual", "euclid_solve_umbilic",
-                     "euclid_solve_radius", "euclid_constrained_spectrum"}
-
-
 @pytest.mark.parametrize("seed", [2, 23])
 def test_run_verify_reports_instead_of_raising(seed):
     # the raw serialization fixture of these seeds exceeds the C1 bound
@@ -511,8 +507,7 @@ def test_run_verify_reports_instead_of_raising(seed):
     assert checks["graph_serialization_roundtrip"]["passed"]
     assert checks["graph_serialization_roundtrip"]["value"] == 0.0
     assert not [name for name in checks if name.endswith("_layer")]
-    # seed 23 still stalls in the flat solve along the translation kernel
-    assert set(report["failures"]) <= FLAT_SOLVE_CHECKS
+    assert report["failures"] == []
 
 
 def test_run_verify_records_a_raising_layer(tmp_path, monkeypatch, capsys):

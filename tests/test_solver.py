@@ -164,6 +164,77 @@ def test_iteration_cap_reports_honestly():
     assert not report.stable
 
 
+@pytest.mark.parametrize("model, center, size", [
+    (mt.euclidean_model(), (0.0, 0.0, 0.0), n_coeffs(8) - 3),
+    (mt.schwarzschild_model(1.0), (0.3, 0.0, 0.0), n_coeffs(8))],
+    ids=["flat", "schwarzschild"])
+def test_singular_jacobian_reports_instead_of_raising(model, center, size,
+                                                      monkeypatch):
+    # flat space solves the block without degree 1; the off-center sphere in
+    # Schwarzschild feels a translation force and solves the full system
+    sizes = []
+
+    def spy(a, b):
+        sizes.append(len(b))
+        return solve(a, b)
+
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(solver, "_node_jacobian",
+                        lambda *args: np.zeros((n_coeffs(8), n_coeffs(8))))
+    seed = bumpy_seed(2, L=8, amp=0.002, scale=6.0, center=center)
+    report = solve_cmc(seed, model, round_mean_curvature(model, 6.3))
+    assert sizes == [size]
+    assert not report.converged
+    assert report.iterations == 1
+    assert report.message == "singular Newton Jacobian"
+    assert report.surface.center.tolist() == list(center)
+
+
+# --- translation gauge ---
+
+@pytest.mark.parametrize("seed", [3, 4, 23])
+def test_flat_solve_does_not_drift_along_translations(seed):
+    # run_verify's flat solve for these verify seeds; the ridged normal
+    # equations stalled on all three
+    report = solve_cmc(bumpy_seed(seed + 5, L=8, amp=0.002, scale=2.1),
+                       mt.euclidean_model(), 1.0,
+                       CmcOptions(tolerance=1e-10, check_stability=False))
+    assert report.converged
+    assert report.iterations <= 5
+
+
+def test_odd_perturbation_shifts_the_center():
+    # the sigma_xz = 0.3 (x/|x|) / |x|^2 term pushes the leaf along z; the
+    # shift goes into the center and no degree-1 content is left
+    model = mt.perturbed_model(1.0, mt.PerturbationSpec(
+        (mt.PerturbationTerm(2.0, 0.3, 0, 2, ((1.0, (1, 0, 0)),)),)))
+    target = round_mean_curvature(model, 5.0)
+    seed = SphereGraph.round_sphere(round_seed_radius(model, target), L=16)
+    report = solve_cmc(seed, model, target, CmcOptions(check_stability=False))
+    assert report.converged
+    assert report.surface.coeffs[1:4].tolist() == [0.0, 0.0, 0.0]
+    assert report.surface.center[2] == pytest.approx(-0.0248, abs=1e-4)
+    area = build_geometry(report.surface, model, QuadratureGrid(32, 64)).area()
+    # the area the ridged normal-equation solver gave, with the shift held
+    # as degree-1 content of the graph instead of in the center
+    assert area == pytest.approx(459.97941141120907, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_off_center_seed_moves_to_the_symmetry_center(seed):
+    # the z^2 perturbation keeps the reflection symmetries of Schwarzschild,
+    # so the leaf is centered; the ridged solver stalled at 2.048e-9 here
+    model = mt.perturbed_model(1.0, mt.PerturbationSpec(
+        (mt.PerturbationTerm(3.0, 0.3, 2, 2, ((1.0, (0, 0, 2)),)),)))
+    start = bumpy_seed(seed, L=8, amp=3e-3, scale=6.0, center=(0.1, 0.0, 0.2))
+    report = solve_cmc(start, model, round_mean_curvature(model, 6.3),
+                       CmcOptions(check_stability=False))
+    assert report.converged
+    assert report.iterations <= 5
+    assert np.linalg.norm(report.surface.center) <= 1e-6
+
+
 # --- constrained stability spectrum ---
 
 def test_euclid_spectrum_closed_form():

@@ -23,9 +23,11 @@ def load_tracer(monkeypatch):
 
 
 # targets the tracer still lists although cmclab deleted them on purpose
-# (dense basis evaluation); their metrics read 0 until the tracer drops them
+# (dense basis evaluation, and the Cholesky pair of the old ridged Newton
+# step); their metrics read 0 until the tracer drops them
 RETIRED_TARGETS = {"cmclab.sphere.basis_at",
-                   "cmclab.sphere.QuadratureGrid.basis_matrices"}
+                   "cmclab.sphere.QuadratureGrid.basis_matrices",
+                   "cmclab.solver.cho_factor", "cmclab.solver.cho_solve"}
 
 
 def test_tracer_resolves_every_target(monkeypatch):
