@@ -17,8 +17,8 @@ import numpy as np
 from . import metrics as mt
 from .errors import FitError, PreconditionError, UndefinedRatioError
 from .geometry import GeometryCache, build_geometry
-from .sphere import (QuadratureGrid, SphereGraph, _guard_grid, degree_of_index,
-                     lm_index, n_coeffs, quadrature_grid, synthesize)
+from .sphere import (SphereGraph, _guard_grid, degree_of_index, lm_index,
+                     n_coeffs, synthesize, working_grid)
 
 FOUR_PI = 4.0 * math.pi
 SIXTEEN_PI = 16.0 * math.pi
@@ -88,10 +88,10 @@ def minkowski_quadratic_form(c, L: int) -> float:
     return float(2.0 * c[0] ** 2 - 2.0 * np.sum(c**2) + np.sum(mu * c**2))
 
 
-def taylor_prefactor_fit(mode: tuple[int, int], epsilons,
-                         grid: QuadratureGrid | None = None) -> tuple[float, float]:
+def taylor_prefactor_fit(mode: tuple[int, int], epsilons) -> tuple[float, float]:
     """Fit deficit(eps * Y_mode) = alpha * eps^2 * Q(mode) + remainder.
 
+    The deficits are measured on ``working_grid`` of the mode's degree.
     Returns (alpha, remainder_order) where the order is the log-log slope of
     the remainder against eps.  Raises FitError for modes with vanishing
     quadratic form (degree <= 1) or when every deficit sits at round-off.
@@ -108,8 +108,7 @@ def taylor_prefactor_fit(mode: tuple[int, int], epsilons,
     qform = minkowski_quadratic_form(coeffs, L)
     if abs(qform) < 1e-12:
         raise FitError(f"quadratic form vanishes for degree {l}")
-    if grid is None:
-        grid = quadrature_grid(32, 64)
+    grid = working_grid(L)
     model = mt.euclidean_model()
     deficits = np.array([
         minkowski_deficit(build_geometry(

@@ -184,11 +184,8 @@ class GeometryCache:
     nu: np.ndarray
     nu_bar: np.ndarray
     g_ind: np.ndarray
-    gbar_ind: np.ndarray
     ginv_ind: np.ndarray
-    gbar_inv: np.ndarray
     h: np.ndarray
-    h_bar: np.ndarray
     H: np.ndarray
     H_bar: np.ndarray
     tf2: np.ndarray
@@ -196,7 +193,6 @@ class GeometryCache:
     J: np.ndarray
     J_bar: np.ndarray
     K: np.ndarray
-    K_bar: np.ndarray
     scalar: np.ndarray
     ric_nu_nu: np.ndarray
     u: np.ndarray
@@ -239,16 +235,15 @@ def build_geometry(graph: SphereGraph, model: mt.MetricModel,
         )
     tf2_bar = _inner(gbar_inv, hbar, hbar) - 0.5 * Hbar**2
     Jbar = np.sqrt(det_bar) / st
-    Kbar = (hbar[..., 0, 0] * hbar[..., 1, 1] - hbar[..., 0, 1] ** 2) / det_bar
 
     if model.kind == mt.EUCLIDEAN:
         zeros = np.zeros_like(Hbar)
+        K = (hbar[..., 0, 0] * hbar[..., 1, 1] - hbar[..., 0, 1] ** 2) / det_bar
         return GeometryCache(
             graph=graph, model=model, grid=grid, X=X, r=r, Xth=Xth, Xph=Xph,
-            nu=nu_bar, nu_bar=nu_bar, g_ind=gbar, gbar_ind=gbar,
-            ginv_ind=gbar_inv, gbar_inv=gbar_inv, h=hbar, h_bar=hbar,
+            nu=nu_bar, nu_bar=nu_bar, g_ind=gbar, ginv_ind=gbar_inv, h=hbar,
             H=Hbar, H_bar=Hbar, tf2=tf2_bar, tf2_bar=tf2_bar, J=Jbar,
-            J_bar=Jbar, K=Kbar, K_bar=Kbar, scalar=zeros, ric_nu_nu=zeros,
+            J_bar=Jbar, K=K, scalar=zeros, ric_nu_nu=zeros,
             u=np.ones_like(Hbar),
         )
 
@@ -273,10 +268,9 @@ def build_geometry(graph: SphereGraph, model: mt.MetricModel,
     u = mt.conformal_factor(model, X, order=1)[0]
     return GeometryCache(
         graph=graph, model=model, grid=grid, X=X, r=r, Xth=Xth, Xph=Xph,
-        nu=nu, nu_bar=nu_bar, g_ind=gind, gbar_ind=gbar, ginv_ind=ginv,
-        gbar_inv=gbar_inv, h=h, h_bar=hbar, H=H, H_bar=Hbar, tf2=tf2,
-        tf2_bar=tf2_bar, J=J, J_bar=Jbar, K=K, K_bar=Kbar, scalar=scal,
-        ric_nu_nu=ric_nn, u=u,
+        nu=nu, nu_bar=nu_bar, g_ind=gind, ginv_ind=ginv, h=h, H=H,
+        H_bar=Hbar, tf2=tf2, tf2_bar=tf2_bar, J=J, J_bar=Jbar, K=K,
+        scalar=scal, ric_nu_nu=ric_nn, u=u,
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .. import metrics as mt
 from ..errors import ConfigError
 from ..solver import CmcOptions
-from ..sphere import QuadratureGrid, quadrature_grid
+from ..sphere import QuadratureGrid, working_grid
 
 ENV_PREFIX = "CMCLAB_"
 
@@ -149,8 +149,6 @@ SCHEMA = {
     "metric.perturbation": (_parse_perturbation, None),
     "metric.cutoff": (_parse_float, 2.0),
     "grid.L": (_parse_int, 24),
-    "grid.n_theta": (_parse_int, 32),
-    "grid.n_phi": (_parse_int, 64),
     "seed": (_parse_int, 0),
     "workers": (_parse_int, 1),
     "solve.tolerance": (_parse_float, 1e-9),
@@ -221,23 +219,16 @@ class ExperimentConfig:
             raise ConfigError(f"metric.{exc}") from None
 
     def grid(self) -> QuadratureGrid:
+        """The working grid of degree grid.L (``sphere.working_grid``)."""
         L = self.values["grid.L"]
-        n_theta = self.values["grid.n_theta"]
-        n_phi = self.values["grid.n_phi"]
         if L < 2:
             raise ConfigError(f"grid.L: need at least degree 2, got {L}")
-        capacity = min(n_theta - 1, (n_phi - 1) // 2)
-        if capacity < L:
-            raise ConfigError(
-                f"grid.n_theta/grid.n_phi: capacity {capacity} below degree "
-                f"L={L}; need n_theta >= L+1 and n_phi >= 2L+1")
-        return quadrature_grid(n_theta, n_phi)
+        return working_grid(L)
 
     def solver_options(self) -> CmcOptions:
         return CmcOptions(
             tolerance=self.values["solve.tolerance"],
             max_iterations=self.values["solve.max_iterations"],
-            grid=self.grid(),
         )
 
 

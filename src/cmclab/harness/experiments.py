@@ -20,10 +20,8 @@ from .. import metrics as mt
 from ..errors import CmclabError, ConfigError, DomainError
 from ..geometry import build_geometry
 from ..solver import solve_cmc, trace_foliation
-from ..sphere import SphereGraph, corpus_graph, lm_index, n_coeffs
+from ..sphere import SphereGraph, corpus_graph, lm_index, n_coeffs, working_grid
 from .config import ExperimentConfig
-
-SIXTEEN_PI = 16.0 * math.pi
 
 FOLIATE_COLUMNS = (
     "leaf", "H_target", "converged", "stable", "iterations", "final_residual",
@@ -105,15 +103,14 @@ def run_foliate(config: ExperimentConfig, out_dir: str) -> tuple[int, list[str]]
     for k, leaf in enumerate(trace.leaves):
         cache = build_geometry(leaf.surface, model, grid)
         report = fn.build_report(cache)
-        _, _, margin = fn.cy_deficit(cache)
         area_H2 = report.area * leaf.H_target**2
-        defects.append(abs(area_H2 - SIXTEEN_PI))
+        defects.append(abs(area_H2 - fn.SIXTEEN_PI))
         rows.append((
             k, leaf.H_target, leaf.converged, leaf.stable, leaf.iterations,
             leaf.final_residual, leaf.stability_eigenvalue,
-            math.sqrt(report.area / (4.0 * math.pi)), area_H2, report.hawking,
-            margin, report.dlm_ratio, report.area, report.willmore,
-            report.cy_lhs, report.cy_rhs, report.dlm_lambda,
+            math.sqrt(report.area / fn.FOUR_PI), area_H2, report.hawking,
+            report.cy_rhs - report.cy_lhs, report.dlm_ratio, report.area,
+            report.willmore, report.cy_lhs, report.cy_rhs, report.dlm_lambda,
             report.minkowski_deficit, report.flux, report.r0, report.H_mean,
             trace.volumes[k], leaf.surface.scale,
         ))
@@ -255,7 +252,6 @@ def run_expand(config: ExperimentConfig, out_dir: str) -> tuple[int, list[str]]:
             f"got {len(epsilons)}")
     if any(e <= 0 for e in epsilons):
         raise ConfigError("expand.epsilons: all values must be positive")
-    grid = config.grid()
     model = mt.euclidean_model()
     eps_min = min(epsilons)
     rows = []
@@ -266,13 +262,13 @@ def run_expand(config: ExperimentConfig, out_dir: str) -> tuple[int, list[str]]:
                          float("nan"), eps_min))
             messages.append(f"mode ({l},{m}) skipped: zero quadratic form")
             continue
-        alpha, order = fn.taylor_prefactor_fit((l, m), epsilons, grid=grid)
+        alpha, order = fn.taylor_prefactor_fit((l, m), epsilons)
         L = max(l, 2)
         coeffs = np.zeros(n_coeffs(L))
         coeffs[lm_index(l, m)] = 1.0
         qform = fn.minkowski_quadratic_form(coeffs, L)
         cache = build_geometry(SphereGraph(np.zeros(3), 1.0, L, coeffs * eps_min),
-                               model, grid)
+                               model, working_grid(L))
         deficit = fn.minkowski_deficit(cache)
         tf = cache.integrate_bar(cache.tf2_bar)
         sharp = max(0.0, -deficit) / tf if tf > 0 else float("nan")

@@ -20,14 +20,12 @@ from .. import metrics as mt
 from ..geometry import (area_element_comparison_residual, build_geometry,
                         gauss_curvature_check,
                         mean_curvature_comparison_residual)
-from ..solver import (CmcOptions, _constrained_spectrum, round_seed_radius,
-                      solve_cmc, stability_spectrum)
+from ..solver import (CmcOptions, _constrained_spectrum, round_mean_curvature,
+                      round_seed_radius, solve_cmc, stability_spectrum)
 from ..sphere import (SphereGraph, analyze, corpus_graph, degree_of_index,
                       galerkin, lm_index, moment_normalize, n_coeffs,
                       quadrature_grid, synthesize)
 from .config import ExperimentConfig
-
-FOUR_PI = 4.0 * math.pi
 
 
 class _Battery:
@@ -74,8 +72,7 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
     model = mt.schwarzschild_model(1.0)
     r = 6.0
     m = model.mass
-    u = 1.0 + m / (2.0 * r)
-    H_exact = (2.0 / r) * (1.0 - m / (2.0 * r)) / u**3
+    H_exact = round_mean_curvature(model, r)
 
     with b.layer("transform"):
         # the Gram matrix through the assembly the solver and spectrum use
@@ -130,7 +127,7 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
         gcp = gauss_curvature_check(pcache)
         b.record("bumpy_gauss_bonnet", abs(gcp["gauss_bonnet_defect"]), 1e-8)
         willmore_gap = (pcache.integrate_bar(pcache.H_bar**2)
-                        - 16.0 * math.pi
+                        - fn.SIXTEEN_PI
                         - 2.0 * pcache.integrate_bar(pcache.tf2_bar))
         b.record("flat_willmore_identity", abs(willmore_gap), 1e-8)
 
@@ -193,7 +190,7 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
             SphereGraph.round_sphere(3.0, center=(0.5, 0.0, 0.0), L=8),
             mt.euclidean_model(), grid)
         b.record("divergence_enclosing",
-                 abs(fn.divergence_identity_residual(enc) - FOUR_PI), 1e-10)
+                 abs(fn.divergence_identity_residual(enc) - fn.FOUR_PI), 1e-10)
 
         sch_cache = build_geometry(
             SphereGraph.round_sphere(3.0, center=(12.0, 0.0, 0.0), L=8),
@@ -229,7 +226,7 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
             b.record("euclid_solve_umbilic",
                      scache.integrate_bar(scache.tf2_bar), 1e-9)
             b.record("euclid_solve_radius",
-                     abs(math.sqrt(scache.area_bar() / FOUR_PI) - 2.0), 1e-8)
+                     abs(math.sqrt(scache.area_bar() / fn.FOUR_PI) - 2.0), 1e-8)
         else:
             b.record("euclid_solve_umbilic", np.inf, 1e-9)
             b.record("euclid_solve_radius", np.inf, 1e-8)

@@ -14,8 +14,8 @@ The coefficient Jacobian sum_k B_val^T diag(w G_k) B_k and the Galerkin
 matrices of the stability form are assembled by ``sphere.galerkin`` (sum
 factorisation on the product grid), and jets and residual coefficients come
 from ``synthesize``/``analyze``, so no solve or spectrum forms a dense
-node-by-coefficient matrix.  Grids come from the process-wide cache
-(``sphere.quadrature_grid``).
+node-by-coefficient matrix.  A solve works on ``sphere.working_grid(L)``
+and certifies on its refinement; spectra use the guard grid of L_op.
 
 Each Newton step is one square LU solve in a translation gauge.  Degree-1
 content duplicates translations of the center (a kernel of the Jacobian in
@@ -40,9 +40,9 @@ from .errors import (DomainError, EmbeddingError, GeometryError,
                      PreconditionError)
 from .functionals import enclosed_volume_flat
 from .geometry import background_at, build_geometry, mean_curvature_from_jets
-from .sphere import (C1_EMBEDDING_BOUND, JET_KEYS, QuadratureGrid,
-                     SphereGraph, SphereJets, _guard_grid, analyze,
-                     c1_seminorms, galerkin, quadrature_grid, synthesize)
+from .sphere import (C1_EMBEDDING_BOUND, JET_KEYS, SphereGraph, SphereJets,
+                     _guard_grid, analyze, c1_seminorms, galerkin, synthesize,
+                     working_grid)
 
 IMAG_STEP = 1e-20
 # damped steps: backtracking factor, smallest step, sufficient-decrease slope,
@@ -64,13 +64,6 @@ class CmcOptions:
     tolerance: float = 1e-9
     max_iterations: int = 60
     check_stability: bool = True
-    grid: QuadratureGrid | None = None
-
-    def resolve_grid(self, L: int) -> QuadratureGrid:
-        if self.grid is not None:
-            self.grid.require_capacity(L)
-            return self.grid
-        return quadrature_grid(max(32, L + 2), max(64, 2 * L + 3))
 
 
 @dataclass
@@ -149,7 +142,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
     if H_target <= 0.0:
         raise PreconditionError(f"H_target must be positive; got {H_target!r}")
     L = initial.L
-    grid = opts.resolve_grid(L)
+    grid = working_grid(L)
     center = initial.center
     scale = initial.scale
 
@@ -238,7 +231,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         message = f"iteration cap {opts.max_iterations} reached"
     # certify against aliasing on a doubled grid; the refined value is the
     # official residual
-    fine = grid.refined(2)
+    fine = grid.refined()
     H_fine = mean_curvature_from_jets(synthesize(c, fine, L), center, scale,
                                       model, fine)
     final_residual = float(np.max(np.abs(H_fine - H_target)))
@@ -261,25 +254,23 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
 
 
 def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
-                          L_op: int | None = None,
-                          grid: QuadratureGrid | None = None) -> np.ndarray:
+                          L_op: int | None = None) -> np.ndarray:
     """k smallest eigenvalues of the volume-constrained Jacobi form.
 
     Quadratic form int(|grad phi|^2 - (|h|^2 + Ric(nu,nu)) phi^2) dmu against
     the mass form int phi^2 dmu, both restricted to int phi dmu = 0, in the
-    harmonic basis up to L_op.  The constraint row a = analyze(J) is mapped
-    to a multiple of e_0 by the Householder reflector P = I - 2 v v^T, so the
-    constrained pencil is P Q P and P Mass P without row and column 0 (Golub,
-    SIAM Rev. 15 (1973)); only its k lowest eigenvalues are computed.
+    harmonic basis up to L_op, on the guard grid of L_op.  The constraint row
+    a = analyze(J) is mapped to a multiple of e_0 by the Householder reflector
+    P = I - 2 v v^T, so the constrained pencil is P Q P and P Mass P without
+    row and column 0 (Golub, SIAM Rev. 15 (1973)); only its k lowest
+    eigenvalues are computed.
     """
     L_op = L_op if L_op is not None else surface.L
     n_free = (L_op + 1) ** 2 - 1
     if not 1 <= k <= n_free:
         raise PreconditionError(f"k must lie in [1, {n_free}] at L_op={L_op}; "
                                 f"got {k!r}")
-    if grid is None:
-        grid = _guard_grid(L_op)
-    grid.require_capacity(max(L_op, surface.L))
+    grid = _guard_grid(L_op)
     cache = build_geometry(surface, model, grid)
     wj = grid.weights * cache.J
     gi = cache.ginv_ind
@@ -312,12 +303,11 @@ def _deflate(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def stability_spectrum(report: SolveReport, model: mt.MetricModel, k: int = 8,
-                       L_op: int | None = None,
-                       grid: QuadratureGrid | None = None) -> np.ndarray:
+                       L_op: int | None = None) -> np.ndarray:
     """Ascending volume-constrained Jacobi eigenvalues of a converged solve."""
     if not report.converged:
         raise PreconditionError("stability spectrum requires a converged solve")
-    return _constrained_spectrum(report.surface, model, k, L_op=L_op, grid=grid)
+    return _constrained_spectrum(report.surface, model, k, L_op=L_op)
 
 
 def round_mean_curvature(model: mt.MetricModel, r: float) -> float:
@@ -418,7 +408,7 @@ def trace_foliation(model: mt.MetricModel, H_start: float, H_end: float,
         trace.diagnostic = f"leaf 0 seeding failed: {exc}"
         return trace
     flat = mt.euclidean_model()
-    grid = opts.resolve_grid(L)
+    grid = working_grid(L)
     prev_volume = -math.inf
     for k, H_target in enumerate(targets):
         report = solve_cmc(seed, model, float(H_target), opts)

@@ -154,8 +154,9 @@ class QuadratureGrid:
         """Largest degree L whose harmonic products integrate exactly."""
         return min(self.n_theta - 1, (self.n_phi - 1) // 2)
 
-    def refined(self, factor: int = 2) -> "QuadratureGrid":
-        return quadrature_grid(self.n_theta * factor, self.n_phi * factor)
+    def refined(self) -> "QuadratureGrid":
+        """The shared grid with twice the nodes in each direction."""
+        return quadrature_grid(2 * self.n_theta, 2 * self.n_phi)
 
     def require_capacity(self, L: int) -> None:
         if L > self.capacity:
@@ -516,8 +517,20 @@ def galerkin(grid: QuadratureGrid, L: int, terms) -> np.ndarray:
     return out[:, position]
 
 
+def working_grid(L: int) -> QuadratureGrid:
+    """The solve and measurement grid of degree-L surfaces.
+
+    Every Newton solve, foliation leaf, scan row and expansion fit of degree
+    L works on this grid; ``refined()`` of it certifies a solve.  At least
+    (32, 64), so that every L <= 30 shares one grid, and above that
+    (L + 2, 2L + 3), a margin over the (L + 1, 2L + 1) that degree L needs.
+    """
+    return quadrature_grid(max(32, L + 2), max(64, 2 * L + 3))
+
+
 def _guard_grid(L: int) -> QuadratureGrid:
-    """2x refined evaluation grid used for norm guards and r0 measurements."""
+    """2x refined evaluation grid used for norm guards, r0 measurements,
+    moment normalization and stability spectra."""
     return quadrature_grid(2 * (L + 1), 2 * (2 * L + 1))
 
 
@@ -671,6 +684,11 @@ class SphereGraph:
         return cls(np.asarray(record["center"], dtype=float), float(record["scale"]), L, coeffs)
 
 
+# moment_normalize's fixed-point iteration: step cap and first-moment target
+MOMENT_MAX_STEPS = 50
+MOMENT_TOL = 1e-13
+
+
 def _translated_radii(coeffs, L, grid, v, warm=None, tol=1e-14, max_inner=30):
     """Radial function of the surface {(1+f)w} about the shifted center v.
 
@@ -692,8 +710,7 @@ def _translated_radii(coeffs, L, grid, v, warm=None, tol=1e-14, max_inner=30):
     return t
 
 
-def moment_normalize(graph: SphereGraph, grid: QuadratureGrid | None = None,
-                     max_outer: int = 50, tol: float = 1e-13):
+def moment_normalize(graph: SphereGraph):
     """Translate and homothetically rescale a graph to kill low moments.
 
     Finds the center shift v (a fixed point of the translation-moment map)
@@ -703,33 +720,34 @@ def moment_normalize(graph: SphereGraph, grid: QuadratureGrid | None = None,
     integral x^a f = 0 to quadrature precision, and the geometric surface is
     unchanged.
 
-    Requires ``c1 norm < 0.2``; raises NormalizationError if the moment
-    iteration fails to contract within ``max_outer`` steps.
+    Works on the guard grid of the graph's degree.  Requires
+    ``c1 norm < 0.2``; raises NormalizationError if the moment iteration
+    fails to contract below ``MOMENT_TOL`` within ``MOMENT_MAX_STEPS`` steps.
     """
     if graph.c1_norm >= 0.2:
         raise PreconditionError(
             f"moment normalization needs C1 norm < 0.2, got {graph.c1_norm:.4g}"
         )
     L = graph.L
-    grid = grid or _guard_grid(L)
-    grid.require_capacity(L)
+    grid = _guard_grid(L)
     w = grid.weights
     nodes = grid.nodes
     v = np.zeros(3)
     warm = None
     residual = np.inf
-    for _ in range(max_outer):
+    for _ in range(MOMENT_MAX_STEPS):
         t = _translated_radii(graph.coeffs, L, grid, v, warm=warm)
         warm = t
         fv = t - 1.0
         moment = (3.0 / (4.0 * np.pi)) * (w * fv) @ nodes
         residual = float(np.linalg.norm(moment))
-        if residual <= tol:
+        if residual <= MOMENT_TOL:
             break
         v = v + moment
     else:
         raise NormalizationError(
-            f"moment iteration did not contract below {tol:g}", residual=residual
+            f"moment iteration did not contract below {MOMENT_TOL:g}",
+            residual=residual
         )
     c_shift = analyze(fv, grid, L)
     rho = 1.0 + c_shift[0] / math.sqrt(4.0 * math.pi)

@@ -137,12 +137,12 @@ def test_criterion_04_cy_on_stable_leaves(grid32, schwarzschild_traces):
                     f"converged stable leaves in zero-R models")
 
 
-def test_criterion_05_deficit_expansion(grid32):
+def test_criterion_05_deficit_expansion():
     epsilons = (1e-3, 3.1e-3, 1e-2, 3.1e-2, 1e-1)
     alphas = []
     orders = []
     for mode in ((2, 0), (3, 0), (4, 2)):
-        alpha, order = fn.taylor_prefactor_fit(mode, epsilons, grid=grid32)
+        alpha, order = fn.taylor_prefactor_fit(mode, epsilons)
         alphas.append(alpha)
         orders.append(order)
     spread = max(alphas) / min(alphas) - 1.0

@@ -19,12 +19,12 @@ from cmclab.harness.experiments import (AUDIT_COLUMNS, EXPAND_COLUMNS,
                                         write_csv)
 from cmclab.harness.verify import run_verify
 from cmclab.solver import SolveReport, FoliationTrace
-from cmclab.sphere import SphereGraph
+from cmclab.sphere import SphereGraph, quadrature_grid
 
 SIXTEEN_PI = 16.0 * math.pi
 
-# small but capacity-correct grid so driver tests stay fast
-SMALL = {"grid.L": "8", "grid.n_theta": "20", "grid.n_phi": "40"}
+# a low degree keeps the experiment tests fast
+SMALL = {"grid.L": "8"}
 
 
 def cfg(**overrides):
@@ -133,9 +133,15 @@ def test_profile_parser():
         cfg(**{"metric.kind": "perturbed", "metric.perturbation": "2,0.1,1,1,q"})
 
 
-def test_grid_capacity_guard():
-    with pytest.raises(ConfigError, match="capacity"):
-        cfg(**{"grid.L": "24", "grid.n_theta": "16", "grid.n_phi": "64"})
+def test_grid_follows_degree():
+    # every L <= 30 shares the default grid; above it the grid grows with L
+    for L in (2, 8, 24, 30):
+        assert cfg(**{"grid.L": str(L)}).grid() is quadrature_grid(32, 64)
+    for L in (31, 48):
+        assert cfg(**{"grid.L": str(L)}).grid() is quadrature_grid(L + 2,
+                                                                   2 * L + 3)
+    with pytest.raises(ConfigError, match="grid.L"):
+        cfg(**{"grid.L": "1"})
 
 
 def test_scan_offset_and_worker_guards():
@@ -541,10 +547,15 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     assert payload["failures"] == []
 
 
-def test_cli_config_errors_exit_two(tmp_path, capsys):
+def test_cli_config_errors_exit_two(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out")
     assert cli.main(["foliate", "--out", out, "--set", "grid.L=24",
                      "--set", "grid.n_theta=16"]) == 2
+    assert "unknown configuration key 'grid.n_theta'" in capsys.readouterr().err
+    with monkeypatch.context() as env:
+        env.setenv("CMCLAB_GRID__N_THETA", "16")
+        assert cli.main(["scan", "--out", out]) == 2
+    assert "unknown configuration key 'grid.n_theta'" in capsys.readouterr().err
     assert cli.main(["foliate", "--out", out, "--set", "metric.kind=euclidean",
                      "--set", "metric.mass=0"]) == 2
     assert cli.main(["scan", "--out", out, "--set", "metric.mass=-1"]) == 2
@@ -562,11 +573,19 @@ def test_cli_scan_smoke(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["scan", "--out", str(out), "--workers", "1",
                      "--set", "scan.lambdas=4", "--set", "scan.xis=2,0,0",
-                     "--set", "grid.L=8", "--set", "grid.n_theta=20",
-                     "--set", "grid.n_phi=40"])
+                     "--set", "grid.L=8"])
     assert code == 0
     assert (out / "scan.csv").exists()
     assert "status 0" in capsys.readouterr().out
+
+
+def test_cli_scan_degree_above_default_grid(tmp_path):
+    # L = 32 exceeds the (32, 64) grid's capacity 31; the grid follows L
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--out", str(out), "--set", "grid.L=32",
+                     "--set", "scan.lambdas=4", "--set", "scan.xis=2,0,0"]) == 0
+    (row,) = read_rows(out / "scan.csv")
+    assert float(row["r0"]) == pytest.approx(4.0 * (2.0 - 1.0), rel=1e-12)
 
 
 def test_cli_seed_flag_changes_corpus(tmp_path):
@@ -575,8 +594,6 @@ def test_cli_seed_flag_changes_corpus(tmp_path):
         out = tmp_path / f"s{seed}"
         cli.main(["scan", "--out", str(out), "--seed", seed,
                   "--set", "scan.lambdas=4", "--set", "scan.xis=2,0,0",
-                  "--set", "scan.shape_pull=0.05",
-                  "--set", "grid.L=8", "--set", "grid.n_theta=20",
-                  "--set", "grid.n_phi=40"])
+                  "--set", "scan.shape_pull=0.05", "--set", "grid.L=8"])
         outs.append((out / "scan.csv").read_bytes())
     assert outs[0] != outs[1]

@@ -21,8 +21,8 @@ from cmclab.solver import (IMAG_STEP, JET_KEYS, CmcOptions, SolveReport,
                            round_mean_curvature,
                            round_seed_radius, solve_cmc, stability_spectrum,
                            trace_foliation)
-from cmclab.sphere import (QuadratureGrid, SphereGraph, SphereJets, n_coeffs,
-                           quadrature_grid, synthesize)
+from cmclab.sphere import (QuadratureGrid, SphereGraph, SphereJets, _guard_grid,
+                           n_coeffs, quadrature_grid, synthesize)
 from test_sphere import reference_basis_matrices
 
 FOUR_PI = 4.0 * math.pi
@@ -449,20 +449,19 @@ def perturbed_pencil(L):
     model = mt.perturbed_model(1.0, mt.PerturbationSpec(
         (mt.PerturbationTerm(2.0, 0.3, 2, 2, ((1.0, (0, 0, 2)),)),)))
     surface = bumpy_seed(4, L=L, amp=3e-4, scale=8.0, center=(0.2, -0.1, 0.3))
-    return surface, model, None, QuadratureGrid(2 * (L + 1), 2 * (2 * L + 1))
+    return surface, model, None
 
 
 def criterion_10_pencil(L):
     # the flat round sphere of criterion 10: 24 values at L_op = 6
-    return (SphereGraph.round_sphere(2.0, L=L), mt.euclidean_model(), 6,
-            QuadratureGrid(14, 26))
+    return SphereGraph.round_sphere(2.0, L=L), mt.euclidean_model(), 6
 
 
 def unstable_leaf_pencil(L):
     # the converged L=16 leaf of test_unstable_leaf_detected, lambda_min < 0
     report = unstable_leaf_report()
     assert report.converged and report.surface.L == L
-    return report.surface, STRONG_XX, None, QuadratureGrid(34, 68)
+    return report.surface, STRONG_XX, None
 
 
 @pytest.mark.parametrize("pencil, L, ks", [
@@ -471,12 +470,13 @@ def unstable_leaf_pencil(L):
     pytest.param(criterion_10_pencil, 8, (24,), id="criterion-10"),
     pytest.param(unstable_leaf_pencil, 16, (1, 4, 8), id="unstable-leaf")])
 def test_constrained_spectrum_matches_dense_reference(pencil, L, ks):
-    surface, model, L_op, grid = pencil(L)
+    surface, model, L_op = pencil(L)
+    # the reference is built on the grid the spectrum uses, the guard grid
+    grid = _guard_grid(L_op if L_op is not None else L)
     want = reference_constrained_spectrum(surface, model, max(ks), grid,
                                           L_op=L_op)
     for k in ks:
-        got = solver._constrained_spectrum(surface, model, k, L_op=L_op,
-                                           grid=grid)
+        got = solver._constrained_spectrum(surface, model, k, L_op=L_op)
         assert got.shape == (k,)
         # up to k = 4 relative to lambda_min; beyond it (the l=2 modes) and
         # for criterion 10, whose lambda_min is 0, relative to max|want[:k]|

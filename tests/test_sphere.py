@@ -397,7 +397,7 @@ def test_quadrature_grid_is_shared_per_shape():
     grid = quadrature_grid(10, 19)
     assert quadrature_grid(10, 19) is grid
     assert quadrature_grid(11, 19) is not grid
-    assert grid.refined(2) is quadrature_grid(20, 38)
+    assert grid.refined() is quadrature_grid(20, 38)
     assert sphere._guard_grid(4) is quadrature_grid(10, 18)
 
 

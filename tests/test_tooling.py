@@ -1,13 +1,18 @@
 """Files outside the package stay in step with it: the benchmark tracer
-still finds every name it wraps, and README documents every config key."""
+still finds every name it wraps, README documents every config key, and
+every key README calls gone is rejected."""
 
 import importlib.util
 import os
+import re
 import sys
+
+import pytest
 
 import cmclab.harness  # noqa: F401  (binds every module the tracer patches)
 import cmclab.solver as solver
-from cmclab.harness.config import SCHEMA
+from cmclab.errors import ConfigError
+from cmclab.harness.config import SCHEMA, load_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACER = os.path.join(ROOT, "benchmarks", "tracer.py")
@@ -43,10 +48,14 @@ def test_tracer_resolves_every_target(monkeypatch):
     assert solver._node_jacobian is original
 
 
+def readme_lines():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
 def test_readme_config_table_matches_schema():
     # a removed key must not stay documented, nor a new one go undocumented
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = readme_lines()
     start = lines.index("| key | default | meaning |") + 2
     keys = []
     for line in lines[start:]:
@@ -54,3 +63,17 @@ def test_readme_config_table_matches_schema():
             break
         keys.append(line.split("`")[1])
     assert sorted(keys) == sorted(SCHEMA)
+
+
+def test_keys_readme_calls_gone_are_rejected():
+    # README names each deleted key in a sentence "The key(s) `a.b` ... gone:"
+    gone = set()
+    for text in re.findall(r"The keys? (.*?) (?:is|are) gone:",
+                           " ".join(readme_lines())):
+        gone.update(re.findall(r"`(\w+\.\w+)`", text))
+    assert {"solve.jacobian", "grid.n_theta", "grid.n_phi"} <= gone
+    for key in sorted(gone):
+        assert key not in SCHEMA
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"unknown configuration key {key!r}")):
+            load_config(environ={}, flag_overrides={key: "1"})
