@@ -246,7 +246,7 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
             R = rs * (1.0 + m / (2.0 * rs)) ** 2
             expect = np.repeat([(l * (l + 1) - 2) / R**2 + 6.0 * m / R**3
                                 for l in (1, 2)], [3, 5])
-            spec = _constrained_spectrum(
+            spec, _ = _constrained_spectrum(
                 SphereGraph.round_sphere(rs, L=8), model, 8)
             worst = max(worst, float(np.max(np.abs(spec / expect - 1.0))))
         b.record("schwarzschild_constrained_spectrum", worst, 1e-9)

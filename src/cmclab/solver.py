@@ -15,7 +15,10 @@ matrices of the stability form are assembled by ``sphere.galerkin`` (sum
 factorisation on the product grid), and jets and residual coefficients come
 from ``synthesize``/``analyze``, so no solve or spectrum forms a dense
 node-by-coefficient matrix.  A solve works on ``sphere.working_grid(L)``
-and certifies on its refinement; spectra use the guard grid of L_op.
+and certifies on its refinement; a spectrum builds the geometry once on the
+guard grid of max(L_op, L) and, unless L_op is given, raises the operator
+degree from min(L, 8) in steps of 4 until the eigenvalues stop moving or
+the degree reaches L.
 
 Each Newton step is one square LU solve in a translation gauge.  Degree-1
 content duplicates translations of the center (a kernel of the Jacobian in
@@ -57,6 +60,11 @@ Y1_NORM = math.sqrt(3.0 / (4.0 * math.pi))
 # (it caps the attainable H), and the largest radius a seed may have
 SEED_R_MIN = 2.05
 SEED_R_MAX = 1e8
+# the adaptive stability pencil: first operator degree, degree step, and the
+# relative refinement tolerance
+SPECTRUM_L_START = 8
+SPECTRUM_L_STEP = 4
+SPECTRUM_RTOL = 1e-10
 
 
 @dataclass
@@ -74,6 +82,7 @@ class SolveReport:
     surface: SphereGraph
     H_target: float
     stability_eigenvalue: float = float("nan")
+    stability_error: float = float("nan")
     stable: bool = False
     message: str = ""
 
@@ -84,6 +93,7 @@ class SolveReport:
             "final_residual": self.final_residual,
             "H_target": self.H_target,
             "stability_eigenvalue": self.stability_eigenvalue,
+            "stability_error": self.stability_error,
             "stable": self.stable,
             "message": self.message,
             "surface": self.surface.to_json_dict(),
@@ -247,45 +257,82 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         message=message,
     )
     if converged and opts.check_stability:
-        evals = _constrained_spectrum(surface, model, 1)
+        evals, error = _constrained_spectrum(surface, model, 1)
         report.stability_eigenvalue = float(evals[0])
+        report.stability_error = error
         report.stable = bool(evals[0] >= -1e-8)
     return report
 
 
 def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
-                          L_op: int | None = None) -> np.ndarray:
-    """k smallest eigenvalues of the volume-constrained Jacobi form.
+                          L_op: int | None = None) -> tuple[np.ndarray, float]:
+    """k smallest eigenvalues of the volume-constrained Jacobi form, and the
+    last refinement difference of the operator degree.
 
     Quadratic form int(|grad phi|^2 - (|h|^2 + Ric(nu,nu)) phi^2) dmu against
     the mass form int phi^2 dmu, both restricted to int phi dmu = 0, in the
-    harmonic basis up to L_op, on the guard grid of L_op.  The constraint row
+    harmonic basis up to the operator degree.  The constraint row
     a = analyze(J) is mapped to a multiple of e_0 by the Householder reflector
     P = I - 2 v v^T, so the constrained pencil is P Q P and P Mass P without
     row and column 0 (Golub, SIAM Rev. 15 (1973)); only its k lowest
     eigenvalues are computed.
+
+    Grid rule: the geometry is built once, on the guard grid of
+    max(L_op, surface.L), and every pencil is assembled on that grid.
+
+    Stopping rule: an explicit L_op gives one pencil at that degree.  Without
+    one the degree starts at min(L, 8), raised until the pencil has k free
+    values, and steps by 4 up to the surface degree L.  The constrained
+    subspaces are nested, so by Courant-Fischer each lambda_i can only fall as
+    the degree grows; the loop stops at the first degree whose values differ
+    from the previous degree's by at most max(1e-10 max_i |lambda_i|, floor),
+    or at L.  The round-off floor is n eps max_j |Qc_jj| / min_j Mc_jj of the
+    n x n constrained pencil: its dimension times the machine epsilon times
+    the largest diagonal Rayleigh quotient, a stand-in for the largest
+    eigenvalue, so it scales with the pencil.  The returned error is the
+    largest last refinement difference, |lambda_min(L_op) -
+    lambda_min(previous)| for k = 1, and 0.0 when only one pencil was built.
     """
-    L_op = L_op if L_op is not None else surface.L
-    n_free = (L_op + 1) ** 2 - 1
+    L = surface.L
+    top = L_op if L_op is not None else L
+    n_free = (top + 1) ** 2 - 1
     if not 1 <= k <= n_free:
-        raise PreconditionError(f"k must lie in [1, {n_free}] at L_op={L_op}; "
+        raise PreconditionError(f"k must lie in [1, {n_free}] at L_op={top}; "
                                 f"got {k!r}")
-    grid = _guard_grid(L_op)
+    if L_op is None:
+        # isqrt(k) is the smallest degree whose pencil has k free values
+        start = max(min(L, SPECTRUM_L_START), math.isqrt(k))
+        degrees = [*range(start, L, SPECTRUM_L_STEP), L]
+    else:
+        degrees = [L_op]
+    grid = _guard_grid(max(top, L))
     cache = build_geometry(surface, model, grid)
     wj = grid.weights * cache.J
     gi = cache.ginv_ind
     pot = cache.tf2 + 0.5 * cache.H**2 + cache.ric_nu_nu
-    Q = galerkin(grid, L_op, [
+    q_terms = [
         ("dth", "dth", wj * gi[:, 0, 0]), ("dth", "dph", wj * gi[:, 0, 1]),
         ("dph", "dth", wj * gi[:, 0, 1]), ("dph", "dph", wj * gi[:, 1, 1]),
-        ("val", "val", -wj * pot)])
-    Mass = galerkin(grid, L_op, [("val", "val", wj)])
-    v = analyze(cache.J, grid, L_op)
-    v[0] += math.copysign(float(np.linalg.norm(v)), v[0])
-    v /= np.linalg.norm(v)
-    Qc, Mc = (_deflate(A, v) for A in (Q, Mass))
-    return eigh(Qc, Mc, eigvals_only=True, subset_by_index=[0, k - 1],
-                overwrite_a=True, overwrite_b=True)
+        ("val", "val", -wj * pot)]
+    previous, error = None, 0.0
+    for degree in degrees:
+        v = analyze(cache.J, grid, degree)
+        v[0] += math.copysign(float(np.linalg.norm(v)), v[0])
+        v /= np.linalg.norm(v)
+        Qc = _deflate(galerkin(grid, degree, q_terms), v)
+        Mc = _deflate(galerkin(grid, degree, [("val", "val", wj)]), v)
+        floor = (Qc.shape[0] * np.finfo(float).eps
+                 * float(np.max(np.abs(np.diagonal(Qc))))
+                 / float(np.min(np.diagonal(Mc))))
+        evals = eigh(Qc, Mc, eigvals_only=True, subset_by_index=[0, k - 1],
+                     overwrite_a=True, overwrite_b=True)
+        if previous is not None:
+            error = float(np.max(np.abs(evals - previous)))
+            if error <= max(SPECTRUM_RTOL * float(np.max(np.abs(evals))),
+                            floor):
+                break
+        previous = evals
+    return evals, error
 
 
 def _deflate(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -307,7 +354,7 @@ def stability_spectrum(report: SolveReport, model: mt.MetricModel, k: int = 8,
     """Ascending volume-constrained Jacobi eigenvalues of a converged solve."""
     if not report.converged:
         raise PreconditionError("stability spectrum requires a converged solve")
-    return _constrained_spectrum(report.surface, model, k, L_op=L_op)
+    return _constrained_spectrum(report.surface, model, k, L_op=L_op)[0]
 
 
 def round_mean_curvature(model: mt.MetricModel, r: float) -> float:

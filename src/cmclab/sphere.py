@@ -684,12 +684,15 @@ class SphereGraph:
         return cls(np.asarray(record["center"], dtype=float), float(record["scale"]), L, coeffs)
 
 
-# moment_normalize's fixed-point iteration: step cap and first-moment target
+# moment_normalize's fixed-point iteration: step cap and first-moment target;
+# its inner radial solve: step cap and distance tolerance
 MOMENT_MAX_STEPS = 50
 MOMENT_TOL = 1e-13
+RADII_MAX_STEPS = 30
+RADII_TOL = 1e-14
 
 
-def _translated_radii(coeffs, L, grid, v, warm=None, tol=1e-14, max_inner=30):
+def _translated_radii(coeffs, L, grid, v, warm=None):
     """Radial function of the surface {(1+f)w} about the shifted center v.
 
     Solves per node direction d: find t > 0 with |v + t d| = 1 + f(unit(v+td)).
@@ -699,12 +702,12 @@ def _translated_radii(coeffs, L, grid, v, warm=None, tol=1e-14, max_inner=30):
     vd = d @ v
     v2 = float(v @ v)
     t = warm.copy() if warm is not None else np.ones(grid.n_nodes)
-    for _ in range(max_inner):
+    for _ in range(RADII_MAX_STEPS):
         p = v[None, :] + t[:, None] * d
         u = p / np.linalg.norm(p, axis=-1, keepdims=True)
         R = 1.0 + values_at(coeffs, L, u)
         t_new = -vd + np.sqrt(vd * vd + R * R - v2)
-        if np.max(np.abs(t_new - t)) <= tol:
+        if np.max(np.abs(t_new - t)) <= RADII_TOL:
             return t_new
         t = t_new
     return t

@@ -270,7 +270,7 @@ def test_schwarzschild_spectrum_closed_form(L):
     for r in (8.0, 40.0, 200.0, 1000.0, 5000.0):
         R = r * (1.0 + m / (2.0 * r)) ** 2
         want = [(l * (l + 1) - 2) / R**2 + 6.0 * m / R**3 for l in (1, 2)]
-        vals = solver._constrained_spectrum(
+        vals, _ = solver._constrained_spectrum(
             SphereGraph.round_sphere(r, L=L), model, 8)
         np.testing.assert_allclose(vals[:3], want[0], rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(vals[3:], want[1], rtol=1e-12, atol=0.0)
@@ -471,12 +471,13 @@ def unstable_leaf_pencil(L):
     pytest.param(unstable_leaf_pencil, 16, (1, 4, 8), id="unstable-leaf")])
 def test_constrained_spectrum_matches_dense_reference(pencil, L, ks):
     surface, model, L_op = pencil(L)
-    # the reference is built on the grid the spectrum uses, the guard grid
-    grid = _guard_grid(L_op if L_op is not None else L)
+    # the reference is the full pencil on the grid the spectrum uses, the
+    # guard grid of max(L, L_op); without L_op the adaptive value must agree
+    grid = _guard_grid(max(L, L_op or L))
     want = reference_constrained_spectrum(surface, model, max(ks), grid,
                                           L_op=L_op)
     for k in ks:
-        got = solver._constrained_spectrum(surface, model, k, L_op=L_op)
+        got, _ = solver._constrained_spectrum(surface, model, k, L_op=L_op)
         assert got.shape == (k,)
         # up to k = 4 relative to lambda_min; beyond it (the l=2 modes) and
         # for criterion 10, whose lambda_min is 0, relative to max|want[:k]|
@@ -495,8 +496,70 @@ def test_constrained_spectrum_rejects_k_out_of_range():
             solver._constrained_spectrum(surface, model, k, L_op=L_op)
         with pytest.raises(PreconditionError, match="k must lie in"):
             stability_spectrum(report, model, k=k, L_op=L_op)
-    assert solver._constrained_spectrum(surface, model, 24).shape == (24,)
+    assert solver._constrained_spectrum(surface, model, 24)[0].shape == (24,)
     assert stability_spectrum(report, model, k=15, L_op=3).shape == (15,)
+
+
+@pytest.mark.parametrize("pencil, L", [
+    pytest.param(perturbed_pencil, 16, id="16"),
+    pytest.param(perturbed_pencil, 24, id="24"),
+    pytest.param(unstable_leaf_pencil, 16, id="unstable-leaf")])
+def test_lambda_min_does_not_rise_with_the_operator_degree(pencil, L):
+    # every pencil is built on the guard grid of L and the constrained
+    # subspaces are nested in L_op, so by Courant-Fischer lambda_min can only
+    # fall as L_op grows
+    surface, model, _ = pencil(L)
+    values = [solver._constrained_spectrum(surface, model, 1, L_op=L_op)[0][0]
+              for L_op in range(8, L + 1, 4)]
+    for coarse, fine in zip(values, values[1:]):
+        assert fine <= coarse + 1e-13 * abs(coarse)
+
+
+def test_operator_degree_below_half_the_surface_degree():
+    # the pencil's grid is the surface's guard grid, so L_op = 8 runs on an
+    # L=24 surface and gives the full pencil's lambda_min
+    model = mt.schwarzschild_model(1.0)
+    surface = SphereGraph.round_sphere(8.0, L=24)
+    low, error = solver._constrained_spectrum(surface, model, 1, L_op=8)
+    full, _ = solver._constrained_spectrum(surface, model, 1, L_op=24)
+    assert error == 0.0
+    assert abs(low[0] - full[0]) <= 1e-10 * abs(full[0])
+
+
+def test_certificate_stops_at_the_degree_that_resolves_it(monkeypatch):
+    # a solve24 problem: Schwarzschild m=1, L=24, round radius 8, scale 0.95 r
+    # and amplitude 4e-4; the certificate's pencils stay at L_op <= 12
+    L = 24
+    calls = []
+    galerkin = solver.galerkin
+
+    def recording(grid, degree, terms):
+        calls.append((grid, degree))
+        return galerkin(grid, degree, terms)
+
+    monkeypatch.setattr(solver, "galerkin", recording)
+    model = mt.schwarzschild_model(1.0)
+    c = np.zeros(n_coeffs(L))
+    c[4:] = 4e-4 * np.random.default_rng(1).standard_normal(c.size - 4)
+    report = solve_cmc(SphereGraph(np.zeros(3), 0.95 * 8.0, L, c), model,
+                       round_mean_curvature(model, 8.0))
+    assert report.converged and report.stable
+    degrees = [degree for grid, degree in calls if grid is _guard_grid(L)]
+    assert degrees and max(degrees) <= 12
+    assert report.stability_error <= 1e-10 * abs(report.stability_eigenvalue)
+    assert report.to_json_dict()["stability_error"] == report.stability_error
+
+
+def test_stability_error_of_a_single_pencil_is_zero():
+    # at L <= 8 the first pencil is the full one; without a certificate the
+    # error is nan like the eigenvalue
+    model = mt.schwarzschild_model(1.0)
+    seed = SphereGraph.round_sphere(8.0, L=8)
+    target = round_mean_curvature(model, 8.0)
+    report = solve_cmc(seed, model, target)
+    assert report.converged and report.stability_error == 0.0
+    report = solve_cmc(seed, model, target, CmcOptions(check_stability=False))
+    assert math.isnan(report.stability_error)
 
 
 def test_solve_with_stability_stays_small_at_L32():
