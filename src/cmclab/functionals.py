@@ -173,8 +173,8 @@ def enclosed_volume_flat(cache: GeometryCache) -> float:
     return cache.integrate_bar(xdn) / 3.0
 
 
-def big_inequality_audit(cache: GeometryCache, model: mt.MetricModel | None = None,
-                         tau: float = 2.5, delta: float = 0.1) -> dict:
+def big_inequality_audit(cache: GeometryCache, tau: float = 2.5,
+                         delta: float = 0.1) -> dict:
     """Term-by-term ledger of the far-field mass-lower-bound inequality.
 
     Charts which side dominates for an outlying surface: the tracefree term
@@ -184,8 +184,6 @@ def big_inequality_audit(cache: GeometryCache, model: mt.MetricModel | None = No
     integrals of the dropped remainders.  Requires tau in (2, 8/3), delta in
     (0, 1), and a surface not enclosing the origin.
     """
-    if model is None:
-        model = cache.model
     if not 2.0 < tau < 8.0 / 3.0:
         raise PreconditionError(f"tau must lie in (2, 8/3); got {tau!r}")
     if not 0.0 < delta < 1.0:
@@ -210,7 +208,7 @@ def big_inequality_audit(cache: GeometryCache, model: mt.MetricModel | None = No
     err_H2_x2 = cache.integrate(H**2 * r**-2)
     area = cache.area()
     return {
-        "mass": model.mass,
+        "mass": cache.model.mass,
         "tau": tau,
         "delta": delta,
         "gamma": gamma,
@@ -219,7 +217,7 @@ def big_inequality_audit(cache: GeometryCache, model: mt.MetricModel | None = No
         "tracefree_energy_flat": tf_flat,
         "term_tracefree": coeff * tf_flat,
         "flux": flux,
-        "term_favorable": 4.0 * model.mass**2 * (1.0 - 2.0 / tau) * flux,
+        "term_favorable": 4.0 * cache.model.mass**2 * (1.0 - 2.0 / tau) * flux,
         "error_x5": err_x5,
         "error_h2_x3": err_h2_x3,
         "error_Htf_x2": err_Htf_x2,

@@ -165,7 +165,7 @@ def _scan_cells(config: ExperimentConfig, model, grid, surface: SphereGraph,
     audit_vals = _BLANK_AUDIT
     solve_vals = _BLANK_SOLVE
     if not flagged:
-        ledger = fn.big_inequality_audit(cache, model, config["scan.tau"],
+        ledger = fn.big_inequality_audit(cache, config["scan.tau"],
                                          config["scan.delta"])
         audit_vals = tuple(ledger[key] for key in AUDIT_COLUMNS)
         if config["scan.solve"]:

@@ -195,7 +195,7 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
         sch_cache = build_geometry(
             SphereGraph.round_sphere(3.0, center=(12.0, 0.0, 0.0), L=8),
             model, grid)
-        ledger = fn.big_inequality_audit(sch_cache, model)
+        ledger = fn.big_inequality_audit(sch_cache)
         finite = all(np.isfinite(v) for k, v in ledger.items()
                      if isinstance(v, float))
         b.record("audit_entries_finite", 0.0 if finite else 1.0, 0.0)

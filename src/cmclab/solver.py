@@ -24,7 +24,11 @@ Each Newton step is one square LU solve in a translation gauge.  Degree-1
 content duplicates translations of the center (a kernel of the Jacobian in
 flat space, a near-kernel of size 6m/R^3 in Schwarzschild), so a step puts it
 into the center, never into the coefficients (a Lyapunov-Schmidt split in the
-translation parameter, Ye 1996).
+translation parameter, Ye 1996).  The model alone fixes the step: a
+translation-invariant model solves the block of degrees other than 1, every
+other model the full system at every step, so no translation force is left
+behind.  The loop stops with a margin: at a tenth of the tolerance, or within
+the tolerance once a step no longer halves the residual (round-off).
 
 Also provides the volume-constrained stability spectrum and continuation
 along a mean-curvature ladder (foliation tracing).
@@ -54,6 +58,11 @@ ARMIJO_FACTOR = 0.5
 ARMIJO_FLOOR = 2.0**-10
 ARMIJO_SLOPE = 1e-4
 MAX_BAD_STEPS = 5
+# the stop rule: once the coarse residual is within the tolerance, stop when
+# it is also within STOP_MARGIN of it, or when the last step cut it by less
+# than the factor STOP_STAGNATION (round-off)
+STOP_MARGIN = 0.1
+STOP_STAGNATION = 0.5
 # Y_1,-1, Y_10 and Y_11 are Y1_NORM * (-y, z, -x)
 Y1_NORM = math.sqrt(3.0 / (4.0 * math.pi))
 # round_seed_radius's domain guards: the smallest radius that may seed a leaf
@@ -139,14 +148,18 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
     The residual is the coefficient vector of H - H_target; its degree-0 row
     matches the mean of H to the target (fixing the scale degeneracy), its
     degree-1 rows are the translation force, and the higher rows drive the
-    shape.  In a translation-invariant model (mass 0, no perturbation), or
-    once the force is within the tolerance, a step solves the square block of
-    degrees other than 1; otherwise it solves the full system and turns its
-    degree-1 part into a center shift.  Damped steps move coefficients and
-    center together and use residual backtracking.  Divergence, the iteration
-    cap, a singular Jacobian, mid-iteration embedding violations and an
-    initial surface the metric cannot be evaluated on all produce a
-    non-converged report rather than an exception.
+    shape.  In a translation-invariant model (mass 0, no perturbation) a
+    step solves the square block of degrees other than 1; in every other
+    model it solves the full system and turns its degree-1 part into a
+    center shift.  Damped steps move coefficients and center together and use
+    residual backtracking.  The loop stops once the coarse max-node residual
+    r is within the tolerance and either within STOP_MARGIN of it or above
+    STOP_STAGNATION times the previous iterate's r; the report is converged
+    when r and the refined-grid residual are both within the tolerance, and a
+    converged report carries no message.  Divergence, the iteration cap, a
+    singular Jacobian, mid-iteration embedding violations and an initial
+    surface the metric cannot be evaluated on all produce a non-converged
+    report rather than an exception.
     """
     opts = opts or CmcOptions()
     if H_target <= 0.0:
@@ -178,23 +191,28 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
     res = H - H_target
     F = analyze(res, grid, L)
     norm = float(np.linalg.norm(F))
+    # degree 1 is a kernel of J in a translation-invariant model: the step
+    # solves the block of the other degrees and the center stays; every other
+    # model solves all of J and turns the degree-1 part into a center shift
     invariant = model.mass == 0.0 and model.perturbation is None
+    keep = np.r_[0, 4:F.size] if invariant else slice(None)
     bad_steps = 0
     message = ""
     iterations = 0
+    r_prev = math.inf
 
     while iterations < opts.max_iterations:
-        if float(np.max(np.abs(res))) <= opts.tolerance:
+        r = float(np.max(np.abs(res)))
+        if r <= opts.tolerance and (r <= STOP_MARGIN * opts.tolerance
+                                    or r > STOP_STAGNATION * r_prev):
             break
+        r_prev = r
         iterations += 1
         J = _node_jacobian(jets, background, center, scale, model, grid, L)
-        # the square system leaves degree 1 out unless a translation force
-        # must be balanced by a center shift
-        gauge_only = invariant or np.linalg.norm(F[1:4]) <= opts.tolerance
-        keep = np.r_[0, 4:F.size] if gauge_only else np.arange(F.size)
         step = np.zeros_like(F)
         try:
-            step[keep] = np.linalg.solve(J[np.ix_(keep, keep)], -F[keep])
+            step[keep] = np.linalg.solve(
+                J[np.ix_(keep, keep)] if invariant else J, -F[keep])
         except np.linalg.LinAlgError:
             message = "singular Newton Jacobian"
             break
@@ -227,18 +245,14 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         if best is None:
             message = "every damped trial violated the embedding or domain bounds"
             break
-        n_best, c, center, H, jets, background, res, F = best
-        grew = n_best >= norm
-        norm = n_best
-        bad_steps = 0 if (accepted and not grew) else bad_steps + 1
+        norm, c, center, H, jets, background, res, F = best
+        bad_steps = 0 if accepted else bad_steps + 1
         if bad_steps >= MAX_BAD_STEPS:
             message = f"residual failed to decrease over {bad_steps} damped steps"
             break
 
     surface = SphereGraph(center, scale, L, c)
     coarse_ok = float(np.max(np.abs(res))) <= opts.tolerance
-    if not coarse_ok and not message:
-        message = f"iteration cap {opts.max_iterations} reached"
     # certify against aliasing on a doubled grid; the refined value is the
     # official residual
     fine = grid.refined()
@@ -246,8 +260,12 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
                                       model, fine)
     final_residual = float(np.max(np.abs(H_fine - H_target)))
     converged = coarse_ok and final_residual <= opts.tolerance
-    if coarse_ok and not converged:
+    if converged:
+        message = ""
+    elif coarse_ok:
         message = "refined-grid certificate failed"
+    elif not message:
+        message = f"iteration cap {opts.max_iterations} reached"
     report = SolveReport(
         converged=converged,
         iterations=iterations,

@@ -242,9 +242,8 @@ def test_enclosed_volume(grid):
 def test_audit_refined_grid_oracle():
     model = mt.schwarzschild_model(1.0)
     g = bumpy(41, L=6, amp=0.003, scale=3.0, center=(12.0, 2.0, 0.0))
-    coarse = fn.big_inequality_audit(cache_of(g, model), model)
-    fine = fn.big_inequality_audit(
-        cache_of(g, model, QuadratureGrid(64, 128)), model)
+    coarse = fn.big_inequality_audit(cache_of(g, model))
+    fine = fn.big_inequality_audit(cache_of(g, model, QuadratureGrid(64, 128)))
     # |tracefree h| has cusps at momentarily-umbilic points, so the mixed
     # error integral (and the total containing it) converges slower than the
     # smooth entries
@@ -261,7 +260,7 @@ def test_audit_round_sphere_values(grid):
     model = mt.schwarzschild_model(1.5)
     cache = cache_of(SphereGraph.round_sphere(2.0, center=(10.0, 0.0, 0.0), L=4),
                      model, grid)
-    ledger = fn.big_inequality_audit(cache, model, tau=2.5, delta=0.1)
+    ledger = fn.big_inequality_audit(cache, tau=2.5, delta=0.1)
     assert ledger["gamma_defined"] is False
     assert ledger["gamma"] == 0.0
     assert ledger["coeff_tracefree"] == pytest.approx(
@@ -277,7 +276,7 @@ def test_audit_round_sphere_values(grid):
 def test_audit_euclidean_favorable_term_vanishes(grid):
     cache = cache_of(SphereGraph.round_sphere(1.0, center=(4.0, 0.0, 0.0), L=4),
                      grid=grid)
-    ledger = fn.big_inequality_audit(cache, mt.euclidean_model())
+    ledger = fn.big_inequality_audit(cache)
     assert ledger["term_favorable"] == 0.0
     assert ledger["mass"] == 0.0
 
@@ -287,14 +286,14 @@ def test_audit_guards(grid):
     cache = cache_of(SphereGraph.round_sphere(1.0, center=(5.0, 0.0, 0.0), L=4),
                      model, grid)
     with pytest.raises(PreconditionError):
-        fn.big_inequality_audit(cache, model, tau=2.0)
+        fn.big_inequality_audit(cache, tau=2.0)
     with pytest.raises(PreconditionError):
-        fn.big_inequality_audit(cache, model, tau=8.0 / 3.0)
+        fn.big_inequality_audit(cache, tau=8.0 / 3.0)
     with pytest.raises(PreconditionError):
-        fn.big_inequality_audit(cache, model, delta=0.0)
+        fn.big_inequality_audit(cache, delta=0.0)
     enclosing = cache_of(SphereGraph.round_sphere(4.0, L=4), model, grid)
     with pytest.raises(PreconditionError):
-        fn.big_inequality_audit(enclosing, model)
+        fn.big_inequality_audit(enclosing)
 
 
 # --- report assembly ---

@@ -170,8 +170,8 @@ def test_iteration_cap_reports_honestly():
     ids=["flat", "schwarzschild"])
 def test_singular_jacobian_reports_instead_of_raising(model, center, size,
                                                       monkeypatch):
-    # flat space solves the block without degree 1; the off-center sphere in
-    # Schwarzschild feels a translation force and solves the full system
+    # flat space is translation invariant and solves the block without
+    # degree 1; every step in Schwarzschild solves the full system
     sizes = []
 
     def spy(a, b):
@@ -233,6 +233,47 @@ def test_off_center_seed_moves_to_the_symmetry_center(seed):
     assert report.converged
     assert report.iterations <= 5
     assert np.linalg.norm(report.surface.center) <= 1e-6
+
+
+def solve24_problem():
+    # the L=24 benchmark's first problem (seed 0, pass 0, solve 0): a bumpy
+    # graph in Schwarzschild whose translation force is not zero by symmetry
+    model = mt.schwarzschild_model(1.0)
+    return (bumpy_seed([0, 0], L=24, amp=4e-4, scale=0.95 * 8.0), model,
+            round_mean_curvature(model, 8.0))
+
+
+def test_curved_solve_ends_at_round_off():
+    # every step balances the translation force, so none is left behind at
+    # the tolerance; a step that dropped degree 1 ended at 5.1e-11 here
+    graph, model, target = solve24_problem()
+    report = solve_cmc(graph, model, target, CmcOptions(check_stability=False))
+    assert report.converged
+    assert report.final_residual <= 1e-14
+
+
+def test_round_off_floor_above_a_tenth_of_the_tolerance_stops():
+    # the coarse residual cannot reach 1e-16 here; the stop needs the
+    # stagnation exit, not the margin, and the report carries no message
+    graph, model, target = solve24_problem()
+    report = solve_cmc(graph, model, target,
+                       CmcOptions(tolerance=1e-15, check_stability=False))
+    assert report.converged
+    assert report.iterations <= 5
+    assert report.message == ""
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_far_field_leaf_stays_at_the_symmetry_center(seed):
+    # at r = 1000 the degree-1 block of J is about 6m/r^3 = 6e-9; a force
+    # left at the tolerance put the center 5.4e-5 r and 6.0e-5 r away
+    r = 1000.0
+    model = mt.schwarzschild_model(1.0)
+    start = bumpy_seed(seed, L=16, amp=4e-4, scale=0.95 * r)
+    report = solve_cmc(start, model, round_mean_curvature(model, r),
+                       CmcOptions(check_stability=False))
+    assert report.converged
+    assert np.linalg.norm(report.surface.center) <= 1e-6 * r
 
 
 # --- constrained stability spectrum ---

@@ -1,8 +1,10 @@
 """Files outside the package stay in step with it: the benchmark tracer
-still finds every name it wraps, README documents every config key, and
-every key README calls gone is rejected."""
+still finds every name it wraps, the benchmark's own checks pass with a
+margin, README documents every config key, and every key README calls gone
+is rejected."""
 
 import importlib.util
+import json
 import os
 import re
 import sys
@@ -15,11 +17,11 @@ from cmclab.errors import ConfigError
 from cmclab.harness.config import SCHEMA, load_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TRACER = os.path.join(ROOT, "benchmarks", "tracer.py")
 
 
-def load_tracer(monkeypatch):
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+def load_benchmark_module(name, monkeypatch):
+    path = os.path.join(ROOT, "benchmarks", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while it executes
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -38,7 +40,7 @@ RETIRED_TARGETS = {"cmclab.sphere.basis_at",
 def test_tracer_resolves_every_target(monkeypatch):
     # a renamed target would silently read 0 in the per-layer metrics
     original = solver._node_jacobian
-    tracer = load_tracer(monkeypatch).Tracer()
+    tracer = load_benchmark_module("tracer", monkeypatch).Tracer()
     try:
         tracer.install()
         assert {note.split(" ")[0] for note in tracer.notes} <= RETIRED_TARGETS
@@ -46,6 +48,27 @@ def test_tracer_resolves_every_target(monkeypatch):
     finally:
         tracer.restore()
     assert solver._node_jacobian is original
+
+
+def test_benchmark_checks_pass_with_a_margin(monkeypatch, tmp_path):
+    # the nearest passes to the checks' residual bound at the solve tolerance:
+    # solve24's seed 1, pass 31 (solve 3 ended at 8.68e-10 with tol 1e-9) and
+    # the perturbed foliation (leaf 10 ended at 9.55e-10); a converged solve
+    # stops at a tenth of the tolerance or at round-off
+    workloads = load_benchmark_module("workloads", monkeypatch)
+    solve24 = workloads.Solve24(1, 31, str(tmp_path))
+    solve24.run(lambda name: None)
+    assert solve24.check() == []
+    tol = solve24.opts.tolerance
+    assert all(rep.final_residual <= 0.1 * tol for rep in solve24.reports)
+
+    foliate = workloads.FoliatePerturbed(1, 0, str(tmp_path))
+    foliate.run(lambda name: None)
+    assert foliate.check() == []
+    tol = foliate.config.solver_options().tolerance
+    leaves = json.loads((tmp_path / "foliate.json").read_text())["leaves"]
+    assert len(leaves) == foliate.N_LEAVES
+    assert all(leaf["final_residual"] <= 0.1 * tol for leaf in leaves)
 
 
 def readme_lines():
