@@ -4,8 +4,9 @@ OpenBLAS reads its thread count once, when the library is loaded, so the
 pin must happen before the first ``import numpy``.  This module is imported
 first by ``cmclab/__init__.py``.  One thread makes every reduction run in
 one fixed order, so a fixed config gives the same bytes under any thread
-setting; on a small machine it is also faster, because numpy's and scipy's
-bundled OpenBLAS copies no longer spin threads against each other.
+setting; on a small machine it is also faster, because numpy's bundled
+OpenBLAS, the only BLAS a cmclab process loads, no longer spins threads that
+compete for the cores.
 
 The pin is process-wide and is inherited by child processes.  It cannot act
 when numpy was imported first: the caller then keeps their own threads.

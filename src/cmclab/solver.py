@@ -18,7 +18,10 @@ node-by-coefficient matrix.  A solve works on ``sphere.working_grid(L)``
 and certifies on its refinement; a spectrum builds the geometry once on the
 guard grid of max(L_op, L) and, unless L_op is given, raises the operator
 degree from min(L, 8) in steps of 4 until the eigenvalues stop moving or
-the degree reaches L.
+the degree reaches L.  Each pencil is symmetric-definite, so a Cholesky
+factor of its mass matrix reduces it to a standard symmetric eigenproblem
+(Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.7); the module needs
+numpy alone.
 
 Each Newton step is one square LU solve in a translation gauge.  Degree-1
 content duplicates translations of the center (a kernel of the Jacobian in
@@ -40,7 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import metrics as mt
 from .errors import (DomainError, EmbeddingError, GeometryError,
@@ -292,8 +294,8 @@ def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
     harmonic basis up to the operator degree.  The constraint row
     a = analyze(J) is mapped to a multiple of e_0 by the Householder reflector
     P = I - 2 v v^T, so the constrained pencil is P Q P and P Mass P without
-    row and column 0 (Golub, SIAM Rev. 15 (1973)); only its k lowest
-    eigenvalues are computed.
+    row and column 0 (Golub, SIAM Rev. 15 (1973)).  Its k lowest eigenvalues
+    come from ``_pencil_eigenvalues``, a Cholesky congruence in numpy.
 
     Grid rule: the geometry is built once, on the guard grid of
     max(L_op, surface.L), and every pencil is assembled on that grid.
@@ -342,8 +344,7 @@ def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
         floor = (Qc.shape[0] * np.finfo(float).eps
                  * float(np.max(np.abs(np.diagonal(Qc))))
                  / float(np.min(np.diagonal(Mc))))
-        evals = eigh(Qc, Mc, eigvals_only=True, subset_by_index=[0, k - 1],
-                     overwrite_a=True, overwrite_b=True)
+        evals = _pencil_eigenvalues(Qc, Mc, k)
         if previous is not None:
             error = float(np.max(np.abs(evals - previous)))
             if error <= max(SPECTRUM_RTOL * float(np.max(np.abs(evals))),
@@ -357,14 +358,29 @@ def _deflate(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """P A P without row and column 0, for the reflector P = I - 2 v v^T of
     a unit v and a symmetric A: the rank-two update A - 2 (v w^T + w v^T)
     with w = A v - (v^T A v) v.  Two n x n arrays are made (the outer product
-    and the result); the result is symmetric up to rounding, and ``eigh``
-    reads only its lower triangle."""
+    and the result); the result is symmetric up to rounding.
+    ``np.linalg.cholesky`` reads only the lower triangle of the deflated mass
+    matrix; the deflated Q enters the congruence C^-1 Q C^-T whole, and
+    ``np.linalg.eigvalsh`` reads only the lower triangle of that congruence
+    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.7)."""
     w = A @ v
     w -= (v @ w) * v
     vw = np.outer(-2.0 * v[1:], w[1:])
     B = A[1:, 1:] + vw
     B += vw.T
     return B
+
+
+def _pencil_eigenvalues(Q: np.ndarray, M: np.ndarray, k: int) -> np.ndarray:
+    """k smallest eigenvalues of the symmetric-definite pencil (Q, M), by a
+    Cholesky congruence: with M = C C^T, C^-1 Q C^-T is symmetric with the
+    pencil's eigenvalues (Golub & Van Loan, Matrix Computations, 4th ed.,
+    sec. 8.7.1; LAPACK's sygv route).  ``np.linalg.cholesky`` reads only the
+    lower triangle of M and ``np.linalg.eigvalsh`` only that of the
+    congruence; an M that is not positive definite raises
+    ``np.linalg.LinAlgError``."""
+    Ci = np.linalg.inv(np.linalg.cholesky(M))
+    return np.linalg.eigvalsh(Ci @ Q @ Ci.T)[:k]
 
 
 def stability_spectrum(report: SolveReport, model: mt.MetricModel, k: int = 8,

@@ -526,6 +526,62 @@ def test_constrained_spectrum_matches_dense_reference(pencil, L, ks):
         assert np.max(np.abs(got - want[:k])) <= 1e-10 * scale
 
 
+def recording_pencils(monkeypatch):
+    """Record every deflated pencil (Qc, Mc, k) and the values the Cholesky
+    congruence gave for it."""
+    pencils = []
+    route = solver._pencil_eigenvalues
+
+    def recording(Q, M, k):
+        values = route(Q, M, k)
+        pencils.append((Q.copy(), M.copy(), k, values))
+        return values
+
+    monkeypatch.setattr(solver, "_pencil_eigenvalues", recording)
+    return pencils
+
+
+def assert_matches_subset_eigh(pencils):
+    # scipy's generalized subset eigh, the route the congruence replaced.
+    # Where lambda_min lies far below the pencil's scale (perturbed 24:
+    # 3.2e-5 against a round-off floor of 1e-12 at n = 624), every dense
+    # solver is accurate only to that floor: there scipy's subset and full
+    # solves are 5.4e-11 and 1.0e-10 relative off the Rayleigh quotient of
+    # their eigenvector in extended precision.  So the bound is 1e-12
+    # relative or a tenth of the floor the spectrum loop stops on.
+    for Q, M, k, got in pencils:
+        want = eigh(Q, M, eigvals_only=True, subset_by_index=[0, k - 1])
+        floor = (Q.shape[0] * np.finfo(float).eps
+                 * np.max(np.abs(np.diagonal(Q))) / np.min(np.diagonal(M)))
+        assert got.shape == (k,)
+        assert np.max(np.abs(got - want)) <= max(
+            1e-12 * np.max(np.abs(want)), 0.1 * floor)
+
+
+@pytest.mark.parametrize("pencil, L, ks", [
+    pytest.param(perturbed_pencil, 16, (1, 4, 8), id="16"),
+    pytest.param(perturbed_pencil, 24, (1, 4, 8), id="24"),
+    pytest.param(criterion_10_pencil, 8, (24,), id="criterion-10"),
+    pytest.param(unstable_leaf_pencil, 16, (1, 4, 8), id="unstable-leaf")])
+def test_cholesky_congruence_matches_scipy_subset_eigh(monkeypatch, pencil, L,
+                                                       ks):
+    surface, model, L_op = pencil(L)
+    pencils = recording_pencils(monkeypatch)
+    for k in ks:
+        solver._constrained_spectrum(surface, model, k, L_op=L_op)
+    # the perturbed and unstable pencils run up to L_op = L (n = 624 at 24)
+    top = L_op if L_op is not None else L
+    assert max(Q.shape[0] for Q, *_ in pencils) == (top + 1) ** 2 - 1
+    assert_matches_subset_eigh(pencils)
+
+
+def test_indefinite_mass_raises_linalg_error():
+    Q = np.diag([1.0, 2.0, 3.0])
+    for M in (np.diag([1.0, -1.0, 2.0]), np.diag([1.0, 0.0, 2.0])):
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._pencil_eigenvalues(Q, M, 1)
+
+
 def test_constrained_spectrum_rejects_k_out_of_range():
     # (L_op + 1)^2 coefficients less the volume constraint
     surface = SphereGraph.round_sphere(2.0, L=4)
@@ -579,6 +635,7 @@ def test_certificate_stops_at_the_degree_that_resolves_it(monkeypatch):
         return galerkin(grid, degree, terms)
 
     monkeypatch.setattr(solver, "galerkin", recording)
+    pencils = recording_pencils(monkeypatch)
     model = mt.schwarzschild_model(1.0)
     c = np.zeros(n_coeffs(L))
     c[4:] = 4e-4 * np.random.default_rng(1).standard_normal(c.size - 4)
@@ -586,7 +643,9 @@ def test_certificate_stops_at_the_degree_that_resolves_it(monkeypatch):
                        round_mean_curvature(model, 8.0))
     assert report.converged and report.stable
     degrees = [degree for grid, degree in calls if grid is _guard_grid(L)]
-    assert degrees and max(degrees) <= 12
+    assert degrees and max(degrees) == 12
+    assert [Q.shape[0] for Q, *_ in pencils] == [80, 168]
+    assert_matches_subset_eigh(pencils)
     assert report.stability_error <= 1e-10 * abs(report.stability_eigenvalue)
     assert report.to_json_dict()["stability_error"] == report.stability_error
 
