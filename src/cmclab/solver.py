@@ -15,7 +15,8 @@ matrices of the stability form are assembled by ``sphere.galerkin`` (sum
 factorisation on the product grid), and jets and residual coefficients come
 from ``synthesize``/``analyze``, so no solve or spectrum forms a dense
 node-by-coefficient matrix.  A solve works on ``sphere.working_grid(L)``
-and certifies on its refinement; a spectrum builds the geometry once on the
+and certifies on its refinement, after lower degrees have solved on their
+own smaller grids; a spectrum builds the geometry once on the
 guard grid of max(L_op, L) and, unless L_op is given, raises the operator
 degree from min(L, 8) in steps of 4 until the eigenvalues stop moving or
 the degree reaches L.  Each pencil is symmetric-definite, so a Cholesky
@@ -32,6 +33,14 @@ translation-invariant model solves the block of degrees other than 1, every
 other model the full system at every step, so no translation force is left
 behind.  The loop stops with a margin: at a tenth of the tolerance, or within
 the tolerance once a step no longer halves the residual (round-off).
+
+A solve climbs a degree ladder (nested iteration; Brandt, Math. Comp. 31
+(1977)): min(L, 8), then steps of 4 below L, then L, the stability
+certificate's own ladder.  The leaves are nearly round, so the low degrees
+carry the Newton steps on small grids, and the top degree, on the working
+grid, usually takes one step.  A lower level stops at the tolerance with no
+margin, or at its truncation floor; a level that misses the tolerance hands
+on its start, so it never ends the solve.
 
 Also provides the volume-constrained stability spectrum and continuation
 along a mean-curvature ladder (foliation tracing).
@@ -50,8 +59,8 @@ from .errors import (DomainError, EmbeddingError, GeometryError,
 from .functionals import enclosed_volume_flat
 from .geometry import background_at, build_geometry, mean_curvature_from_jets
 from .sphere import (C1_EMBEDDING_BOUND, JET_KEYS, SphereGraph, SphereJets,
-                     _guard_grid, analyze, c1_seminorms, galerkin, synthesize,
-                     working_grid)
+                     _guard_grid, analyze, c1_seminorms, galerkin, n_coeffs,
+                     quadrature_grid, synthesize, working_grid)
 
 IMAG_STEP = 1e-20
 # damped steps: backtracking factor, smallest step, sufficient-decrease slope,
@@ -71,10 +80,11 @@ Y1_NORM = math.sqrt(3.0 / (4.0 * math.pi))
 # (it caps the attainable H), and the largest radius a seed may have
 SEED_R_MIN = 2.05
 SEED_R_MAX = 1e8
-# the adaptive stability pencil: first operator degree, degree step, and the
-# relative refinement tolerance
-SPECTRUM_L_START = 8
-SPECTRUM_L_STEP = 4
+# the degree ladder of the Newton solve and of the stability certificate:
+# first degree and degree step
+LADDER_START = 8
+LADDER_STEP = 4
+# the relative refinement tolerance of the adaptive stability pencil
 SPECTRUM_RTOL = 1e-10
 
 
@@ -96,11 +106,13 @@ class SolveReport:
     stability_error: float = float("nan")
     stable: bool = False
     message: str = ""
+    ladder: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
             "converged": self.converged,
             "iterations": self.iterations,
+            "ladder": [list(level) for level in self.ladder],
             "final_residual": self.final_residual,
             "H_target": self.H_target,
             "stability_eigenvalue": self.stability_eigenvalue,
@@ -143,34 +155,32 @@ def _node_jacobian(jets: SphereJets, background, center, scale, model, grid,
     return galerkin(grid, L, [("val", k, w * Gk) for k, Gk in zip(JET_KEYS, G)])
 
 
-def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
-              opts: CmcOptions | None = None) -> SolveReport:
-    """Newton iteration on harmonic coefficients and center until H == H_target.
+def _degree_ladder(L: int, start: int = 0) -> list[int]:
+    """The degrees max(min(L, LADDER_START), start), then steps of
+    LADDER_STEP below L, then L: the ladder of ``solve_cmc`` and of the
+    stability certificate."""
+    return [*range(max(min(L, LADDER_START), start), L, LADDER_STEP), L]
 
-    The residual is the coefficient vector of H - H_target; its degree-0 row
-    matches the mean of H to the target (fixing the scale degeneracy), its
-    degree-1 rows are the translation force, and the higher rows drive the
-    shape.  In a translation-invariant model (mass 0, no perturbation) a
-    step solves the square block of degrees other than 1; in every other
-    model it solves the full system and turns its degree-1 part into a
-    center shift.  Damped steps move coefficients and center together and use
-    residual backtracking.  The loop stops once the coarse max-node residual
-    r is within the tolerance and either within STOP_MARGIN of it or above
-    STOP_STAGNATION times the previous iterate's r; the report is converged
-    when r and the refined-grid residual are both within the tolerance, and a
-    converged report carries no message.  Divergence, the iteration cap, a
-    singular Jacobian, mid-iteration embedding violations and an initial
-    surface the metric cannot be evaluated on all produce a non-converged
-    report rather than an exception.
+
+def _newton(c: np.ndarray, center: np.ndarray, scale: float,
+            model: mt.MetricModel, H_target: float, L: int, grid,
+            tolerance: float, budget: int, final: bool, min_steps: int = 0):
+    """Damped Newton steps on the degree-L coefficients ``c`` and the center,
+    on ``grid``: at most ``budget`` steps, and at least ``min_steps`` of
+    them while the budget lasts.
+
+    After ``min_steps`` steps the loop stops on the coarse max-node
+    residual r and the previous iterate's r_prev.  A ``final`` level stops
+    once r is within the tolerance and either within STOP_MARGIN of it or
+    above STOP_STAGNATION r_prev (round-off).  A lower level stops at the
+    first r within the tolerance, with no margin, or once a step leaves r
+    above STOP_STAGNATION r_prev: the truncation floor of its degree, where
+    it cannot reach the tolerance.  Returns (c, center, res, steps,
+    message) with the node residual ``res`` of the last iterate and a
+    message when the loop broke down.  The start is evaluated first; when
+    that raises a domain, geometry or embedding error, the error propagates
+    and no step is taken.
     """
-    opts = opts or CmcOptions()
-    if H_target <= 0.0:
-        raise PreconditionError(f"H_target must be positive; got {H_target!r}")
-    L = initial.L
-    grid = working_grid(L)
-    center = initial.center
-    scale = initial.scale
-
     def evaluate(coeffs, center):
         fmax, gmax = c1_seminorms(coeffs, L)
         if fmax + gmax >= C1_EMBEDDING_BOUND:
@@ -182,14 +192,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
                                      background=background)
         return H, jets, background
 
-    c = initial.coeffs.copy()
-    try:
-        H, jets, background = evaluate(c, center)
-    except (DomainError, GeometryError) as exc:
-        return SolveReport(converged=False, iterations=0,
-                           final_residual=float("nan"), surface=initial,
-                           H_target=H_target,
-                           message=f"initial surface cannot be evaluated: {exc}")
+    H, jets, background = evaluate(c, center)
     res = H - H_target
     F = analyze(res, grid, L)
     norm = float(np.linalg.norm(F))
@@ -200,16 +203,21 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
     keep = np.r_[0, 4:F.size] if invariant else slice(None)
     bad_steps = 0
     message = ""
-    iterations = 0
+    steps = 0
     r_prev = math.inf
 
-    while iterations < opts.max_iterations:
+    while steps < budget:
         r = float(np.max(np.abs(res)))
-        if r <= opts.tolerance and (r <= STOP_MARGIN * opts.tolerance
-                                    or r > STOP_STAGNATION * r_prev):
+        stagnant = r > STOP_STAGNATION * r_prev
+        if final:
+            done = r <= tolerance and (r <= STOP_MARGIN * tolerance
+                                       or stagnant)
+        else:
+            done = r <= tolerance or stagnant
+        if steps >= min_steps and done:
             break
         r_prev = r
-        iterations += 1
+        steps += 1
         J = _node_jacobian(jets, background, center, scale, model, grid, L)
         step = np.zeros_like(F)
         try:
@@ -238,8 +246,8 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
             F_trial = analyze(res_trial, grid, L)
             n_trial = float(np.linalg.norm(F_trial))
             if best is None or n_trial < best[0]:
-                best = (n_trial, trial, trial_center, Ht_trial, jets_trial,
-                        bg_trial, res_trial, F_trial)
+                best = (n_trial, trial, trial_center, jets_trial, bg_trial,
+                        res_trial, F_trial)
             if n_trial <= (1.0 - ARMIJO_SLOPE * alpha) * norm:
                 accepted = True
                 break
@@ -247,11 +255,90 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         if best is None:
             message = "every damped trial violated the embedding or domain bounds"
             break
-        norm, c, center, H, jets, background, res, F = best
+        norm, c, center, jets, background, res, F = best
         bad_steps = 0 if accepted else bad_steps + 1
         if bad_steps >= MAX_BAD_STEPS:
             message = f"residual failed to decrease over {bad_steps} damped steps"
             break
+    return c, center, res, steps, message
+
+
+def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
+              opts: CmcOptions | None = None) -> SolveReport:
+    """Newton iteration on harmonic coefficients and center until H == H_target.
+
+    The residual is the coefficient vector of H - H_target; its degree-0 row
+    matches the mean of H to the target (fixing the scale degeneracy), its
+    degree-1 rows are the translation force, and the higher rows drive the
+    shape.  In a translation-invariant model (mass 0, no perturbation) a
+    step solves the square block of degrees other than 1; in every other
+    model it solves the full system and turns its degree-1 part into a
+    center shift.  Damped steps move coefficients and center together and use
+    residual backtracking.
+
+    The solve climbs ``_degree_ladder(L)`` (nested iteration: Brandt, Math.
+    Comp. 31 (1977); Deuflhard, Newton Methods for Nonlinear Problems,
+    2004).  A level d below L truncates the iterate to its degree-d prefix,
+    so the seed's content above d is dropped there (a seed is only a
+    start), and runs Newton on the capacity-minimal grid (d + 2, 2d + 3)
+    until the coarse residual is within the tolerance, or until a step no
+    longer halves it (the degree's truncation floor).  A level that gets
+    there hands its iterate, zero-padded, to the next level; one that does
+    not hands on its start unchanged, so it never ends the solve.  The top
+    level works on ``working_grid(L)`` and takes at least one step when a
+    lower level took one.  It stops once the coarse max-node residual r is
+    within the tolerance and either within STOP_MARGIN of it or above
+    STOP_STAGNATION times the previous iterate's r.  All levels share the
+    budget ``opts.max_iterations``; ``iterations`` is their total and
+    ``ladder`` the [degree, steps] of each level.
+
+    The report is converged when the top level's r and the refined-grid
+    residual are both within the tolerance, and a converged report carries
+    no message.  Divergence, the iteration cap, a singular Jacobian,
+    mid-iteration embedding violations and an initial surface the metric
+    cannot be evaluated on all produce a non-converged report rather than an
+    exception.
+    """
+    opts = opts or CmcOptions()
+    if H_target <= 0.0:
+        raise PreconditionError(f"H_target must be positive; got {H_target!r}")
+    L = initial.L
+    scale = initial.scale
+    c = initial.coeffs.copy()
+    center = initial.center
+    ladder = []
+    iterations = 0
+    *lower, _ = _degree_ladder(L)
+    for degree in lower:
+        n = n_coeffs(degree)
+        steps = 0
+        try:
+            c_d, center_d, res, steps, _ = _newton(
+                c[:n], center, scale, model, H_target, degree,
+                quadrature_grid(degree + 2, 2 * degree + 3), opts.tolerance,
+                opts.max_iterations - iterations, False)
+        except (DomainError, EmbeddingError, GeometryError):
+            pass
+        else:
+            if float(np.max(np.abs(res))) <= opts.tolerance:
+                c = np.zeros_like(c)
+                c[:n] = c_d
+                center = center_d
+        ladder.append([degree, steps])
+        iterations += steps
+
+    grid = working_grid(L)
+    try:
+        c, center, res, steps, message = _newton(
+            c, center, scale, model, H_target, L, grid, opts.tolerance,
+            opts.max_iterations - iterations, True, int(iterations > 0))
+    except (DomainError, EmbeddingError, GeometryError) as exc:
+        return SolveReport(converged=False, iterations=iterations,
+                           final_residual=float("nan"), surface=initial,
+                           H_target=H_target, ladder=ladder + [[L, 0]],
+                           message=f"initial surface cannot be evaluated: {exc}")
+    ladder.append([L, steps])
+    iterations += steps
 
     surface = SphereGraph(center, scale, L, c)
     coarse_ok = float(np.max(np.abs(res))) <= opts.tolerance
@@ -274,6 +361,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         final_residual=final_residual,
         surface=surface,
         H_target=H_target,
+        ladder=ladder,
         message=message,
     )
     if converged and opts.check_stability:
@@ -319,12 +407,8 @@ def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
     if not 1 <= k <= n_free:
         raise PreconditionError(f"k must lie in [1, {n_free}] at L_op={top}; "
                                 f"got {k!r}")
-    if L_op is None:
-        # isqrt(k) is the smallest degree whose pencil has k free values
-        start = max(min(L, SPECTRUM_L_START), math.isqrt(k))
-        degrees = [*range(start, L, SPECTRUM_L_STEP), L]
-    else:
-        degrees = [L_op]
+    # isqrt(k) is the smallest degree whose pencil has k free values
+    degrees = _degree_ladder(L, math.isqrt(k)) if L_op is None else [L_op]
     grid = _guard_grid(max(top, L))
     cache = build_geometry(surface, model, grid)
     wj = grid.weights * cache.J

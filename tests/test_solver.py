@@ -263,11 +263,74 @@ def test_round_off_floor_above_a_tenth_of_the_tolerance_stops():
     assert report.message == ""
 
 
+def test_ladder_reports_its_steps_per_degree():
+    graph, model, target = solve24_problem()
+    report = solve_cmc(graph, model, target, CmcOptions(check_stability=False))
+    ladder = report.to_json_dict()["ladder"]
+    assert [degree for degree, _ in ladder] == [8, 12, 16, 20, 24]
+    assert sum(steps for _, steps in ladder) == report.iterations
+    assert ladder[-1] == [graph.L, 1]
+
+
+def recording_jacobian_degrees(monkeypatch, zero_below=None):
+    """Record the degree of every Newton Jacobian; below ``zero_below`` the
+    Jacobian is replaced by zeros."""
+    degrees = []
+    node_jacobian = solver._node_jacobian
+
+    def recording(jets, background, center, scale, model, grid, L):
+        degrees.append(L)
+        if zero_below is not None and L < zero_below:
+            return np.zeros((n_coeffs(L), n_coeffs(L)))
+        return node_jacobian(jets, background, center, scale, model, grid, L)
+
+    monkeypatch.setattr(solver, "_node_jacobian", recording)
+    return degrees
+
+
+def test_solve24_assembles_one_jacobian_at_the_top_degree(monkeypatch):
+    # the lower degrees take the Newton steps; the top degree takes the one
+    # step that brings the residual to round-off
+    degrees = recording_jacobian_degrees(monkeypatch)
+    graph, model, target = solve24_problem()
+    report = solve_cmc(graph, model, target, CmcOptions(check_stability=False))
+    assert report.converged
+    assert report.final_residual <= 1e-14
+    assert degrees.count(24) == 1
+    assert len(degrees) == report.iterations
+
+
+def test_failed_lower_levels_hand_on_their_start(monkeypatch):
+    # a zero Jacobian fails every lower level at its first step; the top
+    # degree then solves from the seed itself
+    degrees = recording_jacobian_degrees(monkeypatch, zero_below=24)
+    graph, model, target = solve24_problem()
+    report = solve_cmc(graph, model, target, CmcOptions(check_stability=False))
+    assert report.converged
+    assert report.final_residual <= 1e-14
+    assert degrees[:4] == [8, 12, 16, 20]
+    assert report.ladder[:4] == [[8, 1], [12, 1], [16, 1], [20, 1]]
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 def test_far_field_leaf_stays_at_the_symmetry_center(seed):
     # at r = 1000 the degree-1 block of J is about 6m/r^3 = 6e-9; a force
     # left at the tolerance put the center 5.4e-5 r and 6.0e-5 r away
     r = 1000.0
+    model = mt.schwarzschild_model(1.0)
+    start = bumpy_seed(seed, L=16, amp=4e-4, scale=0.95 * r)
+    report = solve_cmc(start, model, round_mean_curvature(model, r),
+                       CmcOptions(check_stability=False))
+    assert report.converged
+    assert np.linalg.norm(report.surface.center) <= 1e-6 * r
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_far_field_leaf_converges_from_its_low_degrees(seed):
+    # at r = 5000 a first step at L=16 threw the center 0.65 r and 0.30 r
+    # away and the solve stalled; the low degrees drop the seed's high-degree
+    # content before the center moves
+    r = 5000.0
     model = mt.schwarzschild_model(1.0)
     start = bumpy_seed(seed, L=16, amp=4e-4, scale=0.95 * r)
     report = solve_cmc(start, model, round_mean_curvature(model, r),
