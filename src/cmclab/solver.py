@@ -31,16 +31,18 @@ into the center, never into the coefficients (a Lyapunov-Schmidt split in the
 translation parameter, Ye 1996).  The model alone fixes the step: a
 translation-invariant model solves the block of degrees other than 1, every
 other model the full system at every step, so no translation force is left
-behind.  The loop stops with a margin: at a tenth of the tolerance, or within
-the tolerance once a step no longer halves the residual (round-off).
+behind.
 
 A solve climbs a degree ladder (nested iteration; Brandt, Math. Comp. 31
 (1977)): min(L, 8), then steps of 4 below L, then L, the stability
-certificate's own ladder.  The leaves are nearly round, so the low degrees
+certificate's own ladder.  Every level runs Newton to the round-off floor
+16 eps H_target, or until a step no longer halves the residual (round-off,
+or a lower degree's truncation floor); the top level also stops within a
+tenth of the tolerance.  The leaves are nearly round, so the low degrees
 carry the Newton steps on small grids, and the top degree, on the working
-grid, usually takes one step.  A lower level stops at the tolerance with no
-margin, or at its truncation floor; a level that misses the tolerance hands
-on its start, so it never ends the solve.
+grid, usually takes none.  A lower level that misses the tolerance hands on
+its start unless it gained on it with the center kept near, so it never
+ends the solve.
 
 Also provides the volume-constrained stability spectrum and continuation
 along a mean-curvature ladder (foliation tracing).
@@ -69,11 +71,13 @@ ARMIJO_FACTOR = 0.5
 ARMIJO_FLOOR = 2.0**-10
 ARMIJO_SLOPE = 1e-4
 MAX_BAD_STEPS = 5
-# the stop rule: once the coarse residual is within the tolerance, stop when
-# it is also within STOP_MARGIN of it, or when the last step cut it by less
-# than the factor STOP_STAGNATION (round-off)
+# the stop rule: a level stops at the floor ROUND_OFF * eps * H_target of
+# the coarse residual (resolved leaves end at 2-8 eps H_target), or once a
+# step cuts it by less than the factor STOP_STAGNATION; the top level also
+# stops within STOP_MARGIN times the tolerance
 STOP_MARGIN = 0.1
 STOP_STAGNATION = 0.5
+ROUND_OFF = 16.0
 # Y_1,-1, Y_10 and Y_11 are Y1_NORM * (-y, z, -x)
 Y1_NORM = math.sqrt(3.0 / (4.0 * math.pi))
 # round_seed_radius's domain guards: the smallest radius that may seed a leaf
@@ -164,21 +168,19 @@ def _degree_ladder(L: int, start: int = 0) -> list[int]:
 
 def _newton(c: np.ndarray, center: np.ndarray, scale: float,
             model: mt.MetricModel, H_target: float, L: int, grid,
-            tolerance: float, budget: int, final: bool, min_steps: int = 0):
+            tolerance: float, budget: int, final: bool):
     """Damped Newton steps on the degree-L coefficients ``c`` and the center,
-    on ``grid``: at most ``budget`` steps, and at least ``min_steps`` of
-    them while the budget lasts.
+    on ``grid``: at most ``budget`` steps.
 
-    After ``min_steps`` steps the loop stops on the coarse max-node
-    residual r and the previous iterate's r_prev.  A ``final`` level stops
-    once r is within the tolerance and either within STOP_MARGIN of it or
-    above STOP_STAGNATION r_prev (round-off).  A lower level stops at the
-    first r within the tolerance, with no margin, or once a step leaves r
-    above STOP_STAGNATION r_prev: the truncation floor of its degree, where
-    it cannot reach the tolerance.  Returns (c, center, res, steps,
-    message) with the node residual ``res`` of the last iterate and a
-    message when the loop broke down.  The start is evaluated first; when
-    that raises a domain, geometry or embedding error, the error propagates
+    The loop stops on the coarse max-node residual r, the previous
+    iterate's r_prev and the floor ROUND_OFF eps H_target.  A lower level
+    stops once r is at the floor or above STOP_STAGNATION r_prev (round-off
+    or its degree's truncation floor).  A ``final`` level stops once r is
+    within the tolerance and either within max(STOP_MARGIN tolerance,
+    floor) or above STOP_STAGNATION r_prev, so a resolved start takes no
+    step.  Returns (c, center, res, r_start, steps, message) with the node
+    residual ``res`` of the last iterate, the start's r, and a message when
+    the loop broke down.  The start is evaluated first; when that raises a domain, geometry or embedding error, the error propagates
     and no step is taken.
     """
     def evaluate(coeffs, center):
@@ -204,17 +206,19 @@ def _newton(c: np.ndarray, center: np.ndarray, scale: float,
     bad_steps = 0
     message = ""
     steps = 0
+    r_start = float(np.max(np.abs(res)))
     r_prev = math.inf
+    floor = ROUND_OFF * np.finfo(float).eps * H_target
 
     while steps < budget:
         r = float(np.max(np.abs(res)))
         stagnant = r > STOP_STAGNATION * r_prev
         if final:
-            done = r <= tolerance and (r <= STOP_MARGIN * tolerance
-                                       or stagnant)
+            done = r <= tolerance and (
+                r <= max(STOP_MARGIN * tolerance, floor) or stagnant)
         else:
-            done = r <= tolerance or stagnant
-        if steps >= min_steps and done:
+            done = r <= floor or stagnant
+        if done:
             break
         r_prev = r
         steps += 1
@@ -260,7 +264,7 @@ def _newton(c: np.ndarray, center: np.ndarray, scale: float,
         if bad_steps >= MAX_BAD_STEPS:
             message = f"residual failed to decrease over {bad_steps} damped steps"
             break
-    return c, center, res, steps, message
+    return c, center, res, r_start, steps, message
 
 
 def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
@@ -281,16 +285,16 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
     2004).  A level d below L truncates the iterate to its degree-d prefix,
     so the seed's content above d is dropped there (a seed is only a
     start), and runs Newton on the capacity-minimal grid (d + 2, 2d + 3)
-    until the coarse residual is within the tolerance, or until a step no
-    longer halves it (the degree's truncation floor).  A level that gets
-    there hands its iterate, zero-padded, to the next level; one that does
-    not hands on its start unchanged, so it never ends the solve.  The top
-    level works on ``working_grid(L)`` and takes at least one step when a
-    lower level took one.  It stops once the coarse max-node residual r is
-    within the tolerance and either within STOP_MARGIN of it or above
-    STOP_STAGNATION times the previous iterate's r.  All levels share the
-    budget ``opts.max_iterations``; ``iterations`` is their total and
-    ``ladder`` the [degree, steps] of each level.
+    with the lower-level stop rule of ``_newton``.  It hands its iterate,
+    zero-padded, to the next level when the residual is within the
+    tolerance, or when no step broke down, the residual ended below the
+    start's and the center moved by less than C1_EMBEDDING_BOUND times the
+    scale (a low degree that wanders off loses the leaf); otherwise it
+    hands on its start unchanged, so it never ends the solve.  The top
+    level works on ``working_grid(L)`` with the final stop rule of
+    ``_newton``, so a leaf the lower levels resolved takes no step there.
+    All levels share the budget ``opts.max_iterations``; ``iterations`` is
+    their total and ``ladder`` the [degree, steps] of each level.
 
     The report is converged when the top level's r and the refined-grid
     residual are both within the tolerance, and a converged report carries
@@ -313,14 +317,17 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         n = n_coeffs(degree)
         steps = 0
         try:
-            c_d, center_d, res, steps, _ = _newton(
+            c_d, center_d, res, r_start, steps, message = _newton(
                 c[:n], center, scale, model, H_target, degree,
                 quadrature_grid(degree + 2, 2 * degree + 3), opts.tolerance,
                 opts.max_iterations - iterations, False)
         except (DomainError, EmbeddingError, GeometryError):
             pass
         else:
-            if float(np.max(np.abs(res))) <= opts.tolerance:
+            r = float(np.max(np.abs(res)))
+            moved = float(np.linalg.norm(center_d - center)) / scale
+            if r <= opts.tolerance or (not message and r < r_start
+                                       and moved < C1_EMBEDDING_BOUND):
                 c = np.zeros_like(c)
                 c[:n] = c_d
                 center = center_d
@@ -329,9 +336,9 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
 
     grid = working_grid(L)
     try:
-        c, center, res, steps, message = _newton(
+        c, center, res, _, steps, message = _newton(
             c, center, scale, model, H_target, L, grid, opts.tolerance,
-            opts.max_iterations - iterations, True, int(iterations > 0))
+            opts.max_iterations - iterations, True)
     except (DomainError, EmbeddingError, GeometryError) as exc:
         return SolveReport(converged=False, iterations=iterations,
                            final_residual=float("nan"), surface=initial,

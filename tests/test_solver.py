@@ -269,7 +269,7 @@ def test_ladder_reports_its_steps_per_degree():
     ladder = report.to_json_dict()["ladder"]
     assert [degree for degree, _ in ladder] == [8, 12, 16, 20, 24]
     assert sum(steps for _, steps in ladder) == report.iterations
-    assert ladder[-1] == [graph.L, 1]
+    assert ladder[-1] == [graph.L, 0]
 
 
 def recording_jacobian_degrees(monkeypatch, zero_below=None):
@@ -288,16 +288,32 @@ def recording_jacobian_degrees(monkeypatch, zero_below=None):
     return degrees
 
 
-def test_solve24_assembles_one_jacobian_at_the_top_degree(monkeypatch):
-    # the lower degrees take the Newton steps; the top degree takes the one
-    # step that brings the residual to round-off
+def test_solve24_assembles_no_jacobian_at_the_top_degree(monkeypatch):
+    # the lower degrees take the Newton steps down to round-off, so the top
+    # degree starts at round-off and takes no step
     degrees = recording_jacobian_degrees(monkeypatch)
     graph, model, target = solve24_problem()
     report = solve_cmc(graph, model, target, CmcOptions(check_stability=False))
     assert report.converged
     assert report.final_residual <= 1e-14
-    assert degrees.count(24) == 1
+    assert degrees.count(24) == 0
     assert len(degrees) == report.iterations
+
+
+def test_first_criterion3_leaf_takes_no_step_at_the_top_degree(monkeypatch):
+    # the first leaf of criterion 3's z^2 foliation at L=16: the lower
+    # degrees resolve it to their round-off, so the top degree stops at once,
+    # inside the 0.1 tol margin
+    degrees = recording_jacobian_degrees(monkeypatch)
+    model = mt.perturbed_model(1.0, mt.PerturbationSpec(
+        (mt.PerturbationTerm(2.0, 0.3, 2, 2, ((1.0, (0, 0, 2)),)),)))
+    target = round_mean_curvature(model, 5.0)
+    seed = SphereGraph.round_sphere(round_seed_radius(model, target), L=16)
+    report = solve_cmc(seed, model, target, CmcOptions(check_stability=False))
+    assert report.converged
+    assert report.final_residual <= 0.1 * CmcOptions().tolerance
+    assert degrees.count(16) == 0
+    assert report.ladder[-1] == [16, 0]
 
 
 def test_failed_lower_levels_hand_on_their_start(monkeypatch):
@@ -333,6 +349,20 @@ def test_far_field_leaf_converges_from_its_low_degrees(seed):
     r = 5000.0
     model = mt.schwarzschild_model(1.0)
     start = bumpy_seed(seed, L=16, amp=4e-4, scale=0.95 * r)
+    report = solve_cmc(start, model, round_mean_curvature(model, r),
+                       CmcOptions(check_stability=False))
+    assert report.converged
+    assert np.linalg.norm(report.surface.center) <= 1e-6 * r
+
+
+def test_far_leaf_keeps_its_start_when_a_low_degree_wanders():
+    # at r = 20000 the degree-8 level stops at its truncation floor with the
+    # center 1.4 scale away: handing that iterate on lost this leaf, so a
+    # floor iterate that moved the center by more than the embedding bound
+    # times the scale is dropped
+    r = 20000.0
+    model = mt.schwarzschild_model(1.0)
+    start = bumpy_seed(0, L=16, amp=4e-4, scale=0.95 * r)
     report = solve_cmc(start, model, round_mean_curvature(model, r),
                        CmcOptions(check_stability=False))
     assert report.converged
@@ -403,6 +433,13 @@ def test_unstable_leaf_detected():
     assert report.converged
     assert report.stability_eigenvalue < -1e-3
     assert not report.stable
+
+
+def test_floor_iterates_are_handed_on():
+    # degrees 8 and 12 stop at their truncation floors (6.6e-6 and 7.7e-8
+    # from 2.3e-2); handing those iterates on saves the steps that redid them
+    report = unstable_leaf_report()
+    assert report.ladder == [[8, 3], [12, 2], [16, 2]]
 
 
 # --- foliation tracing ---
@@ -725,6 +762,17 @@ def test_stability_error_of_a_single_pencil_is_zero():
     assert math.isnan(report.stability_error)
 
 
+def run_fresh(script: str) -> str:
+    """Stdout of ``script`` run in a fresh interpreter on this cmclab, with
+    BLAS pinned to one thread so its per-thread buffers do not count."""
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_solve_with_stability_stays_small_at_L32():
     # dense node-by-coefficient matrices at L=32 (six on the solve grid,
     # three on the spectrum grid: 343 MB) alone would exceed this bound; BLAS
@@ -744,15 +792,39 @@ def test_solve_with_stability_stays_small_at_L32():
         print(report.converged, report.stable,
               resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     """)
-    src = os.path.dirname(os.path.dirname(solver.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    converged, stable, maxrss_kib = proc.stdout.split()
+    converged, stable, maxrss_kib = run_fresh(script).split()
     assert (converged, stable) == ("True", "True")
     assert int(maxrss_kib) / 1024.0 <= 350.0
+
+
+def test_scale_recipe_at_L48_takes_no_step_at_the_top_degree():
+    # the scale recipe (Schwarzschild m=1, scale 7.6, H of round radius 8,
+    # degree >= 2 coefficients at 1e-4): the ladder resolves the leaf below
+    # degree 48, so no 2401 x 2401 Jacobian is assembled
+    script = textwrap.dedent("""
+        import numpy as np
+        import cmclab.solver as solver
+        from cmclab import metrics as mt
+        from cmclab.sphere import SphereGraph, n_coeffs
+        degrees = []
+        node_jacobian = solver._node_jacobian
+        def recording(jets, background, center, scale, model, grid, L):
+            degrees.append(L)
+            return node_jacobian(jets, background, center, scale, model,
+                                 grid, L)
+        solver._node_jacobian = recording
+        L = 48
+        c = np.zeros(n_coeffs(L))
+        c[4:] = 1e-4 * np.random.default_rng(1).standard_normal(c.size - 4)
+        model = mt.schwarzschild_model(1.0)
+        report = solver.solve_cmc(SphereGraph(np.zeros(3), 7.6, L, c), model,
+                                  solver.round_mean_curvature(model, 8.0))
+        print(report.converged, report.stable, degrees.count(L),
+              repr(report.stability_eigenvalue))
+    """)
+    converged, stable, top_jacobians, lam = run_fresh(script).split()
+    assert (converged, stable, top_jacobians) == ("True", "True", "0")
+    assert float(lam) == pytest.approx(8.1453107395e-3, rel=1e-9)
 
 
 def test_trace_foliation_seeds_each_leaf_once(monkeypatch):
