@@ -152,16 +152,15 @@ def mean_curvature_from_jets(jets: SphereJets, center, scale, model: mt.MetricMo
 
     ``background`` is the ``background_at`` result of jets with the same
     value field ``f``; passing it skips the metric evaluation.  Without it the
-    metric is evaluated at the jets' own (possibly complex) points.
+    metric is evaluated at the jets' own (possibly complex) points.  The chart
+    normal X_th x X_ph is outward: its product with X - center is
+    rho^3 sin(theta), positive for every radius rho = scale (1 + f) > 0.
     """
     chart = _embedding(jets, center, scale, grid.frames())
     X, Xth, Xph = chart[:3]
     if background is None:
         background = _background(model, X)
-    ncov = _cross(Xth, Xph)
-    orient = np.real(_dot(ncov, X - np.asarray(center)[None, :]))
-    sign = np.where(orient >= 0.0, 1.0, -1.0)
-    return _surface_forms(chart, ncov * sign[:, None], background)[-1]
+    return _surface_forms(chart, _cross(Xth, Xph), background)[-1]
 
 
 @dataclass

@@ -213,7 +213,7 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
                  np.max(np.abs(again.coeffs - normed.coeffs)), 1e-11)
 
     with b.layer("solver"):
-        opts = CmcOptions(tolerance=1e-10, check_stability=False)
+        opts = CmcOptions(tolerance=1e-10)
         seed_graph = _bumpy(seed + 5, 8, 0.002, scale=2.1)
         sol = solve_cmc(seed_graph, mt.euclidean_model(), 1.0, opts)
         b.record("euclid_solve_residual",
@@ -231,7 +231,7 @@ def run_verify(config: ExperimentConfig | None = None) -> dict:
             b.record("euclid_solve_umbilic", np.inf, 1e-9)
             b.record("euclid_solve_radius", np.inf, 1e-8)
         if sol.converged:
-            spec = stability_spectrum(sol, mt.euclidean_model(), k=9, L_op=8)
+            spec = stability_spectrum(sol, mt.euclidean_model(), k=9)
             expect = np.array([0.0, 0.0, 0.0] + [(l * (l + 1) - 2) / 4.0
                                                  for l in (2, 2, 2, 2, 2, 3)])
             b.record("euclid_constrained_spectrum",

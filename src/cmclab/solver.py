@@ -17,11 +17,12 @@ from ``synthesize``/``analyze``, so no solve or spectrum forms a dense
 node-by-coefficient matrix.  A solve works on ``sphere.working_grid(L)``
 and certifies on its refinement, after lower degrees have solved on their
 own smaller grids; a spectrum builds the geometry once on the
-guard grid of max(L_op, L) and, unless L_op is given, raises the operator
-degree from min(L, 8) in steps of 4 until the eigenvalues stop moving or
-the degree reaches L.  Each pencil is symmetric-definite, so a Cholesky
-factor of its mass matrix reduces it to a standard symmetric eigenproblem
-(Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.7); the module needs
+guard grid of L and raises the operator degree from min(L, 8) in steps of 4
+until the eigenvalues stop moving or the degree reaches L.  Each pencil is
+symmetric-definite, so a Cholesky factor C of its mass matrix reduces it to
+a standard symmetric eigenproblem (Golub & Van Loan, Matrix Computations,
+4th ed., sec. 8.7), and the volume constraint, M-orthogonality to the
+constant mode, is the coordinate y_0 = 0 of y = C^T c; the module needs
 numpy alone.
 
 Each Newton step is one square LU solve in a translation gauge.  Degree-1
@@ -96,7 +97,6 @@ SPECTRUM_RTOL = 1e-10
 class CmcOptions:
     tolerance: float = 1e-9
     max_iterations: int = 60
-    check_stability: bool = True
 
 
 @dataclass
@@ -371,7 +371,7 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
         ladder=ladder,
         message=message,
     )
-    if converged and opts.check_stability:
+    if converged:
         evals, error = _constrained_spectrum(surface, model, 1)
         report.stability_eigenvalue = float(evals[0])
         report.stability_error = error
@@ -379,44 +379,39 @@ def solve_cmc(initial: SphereGraph, model: mt.MetricModel, H_target: float,
     return report
 
 
-def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
-                          L_op: int | None = None) -> tuple[np.ndarray, float]:
+def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel,
+                          k: int) -> tuple[np.ndarray, float]:
     """k smallest eigenvalues of the volume-constrained Jacobi form, and the
     last refinement difference of the operator degree.
 
     Quadratic form int(|grad phi|^2 - (|h|^2 + Ric(nu,nu)) phi^2) dmu against
     the mass form int phi^2 dmu, both restricted to int phi dmu = 0, in the
-    harmonic basis up to the operator degree.  The constraint row
-    a = analyze(J) is mapped to a multiple of e_0 by the Householder reflector
-    P = I - 2 v v^T, so the constrained pencil is P Q P and P Mass P without
-    row and column 0 (Golub, SIAM Rev. 15 (1973)).  Its k lowest eigenvalues
-    come from ``_pencil_eigenvalues``, a Cholesky congruence in numpy.
+    harmonic basis up to the operator degree.  Y_0 is the constant Y_00, so
+    the mass matrix's row M_0j = Y_00 int Y_j dmu is the constraint row, and
+    ``_pencil_eigenvalues`` imposes it on the full pencil (Q, M) as the first
+    coordinate of the Cholesky factor.
 
-    Grid rule: the geometry is built once, on the guard grid of
-    max(L_op, surface.L), and every pencil is assembled on that grid.
+    Grid rule: the geometry is built once, on the guard grid of the surface
+    degree L, and every pencil is assembled on that grid.
 
-    Stopping rule: an explicit L_op gives one pencil at that degree.  Without
-    one the degree starts at min(L, 8), raised until the pencil has k free
-    values, and steps by 4 up to the surface degree L.  The constrained
-    subspaces are nested, so by Courant-Fischer each lambda_i can only fall as
-    the degree grows; the loop stops at the first degree whose values differ
-    from the previous degree's by at most max(1e-10 max_i |lambda_i|, floor),
-    or at L.  The round-off floor is n eps max_j |Qc_jj| / min_j Mc_jj of the
-    n x n constrained pencil: its dimension times the machine epsilon times
-    the largest diagonal Rayleigh quotient, a stand-in for the largest
+    Stopping rule: the degree starts at min(L, 8), raised until the pencil
+    has k free values, and steps by 4 up to L.  The constrained subspaces are
+    nested, so by Courant-Fischer each lambda_i can only fall as the degree
+    grows; the loop stops at the first degree whose values differ from the
+    previous degree's by at most max(1e-10 max_i |lambda_i|, floor), or at L.
+    The round-off floor is n eps max_j |Q_jj| / min_j M_jj with n free
+    values: the pencil's dimension times the machine epsilon times the
+    largest diagonal Rayleigh quotient, a stand-in for the largest
     eigenvalue, so it scales with the pencil.  The returned error is the
-    largest last refinement difference, |lambda_min(L_op) -
-    lambda_min(previous)| for k = 1, and 0.0 when only one pencil was built.
+    largest last refinement difference, |lambda_min - lambda_min(previous
+    degree)| for k = 1, and 0.0 when only one pencil was built.
     """
     L = surface.L
-    top = L_op if L_op is not None else L
-    n_free = (top + 1) ** 2 - 1
+    n_free = (L + 1) ** 2 - 1
     if not 1 <= k <= n_free:
-        raise PreconditionError(f"k must lie in [1, {n_free}] at L_op={top}; "
+        raise PreconditionError(f"k must lie in [1, {n_free}] at L={L}; "
                                 f"got {k!r}")
-    # isqrt(k) is the smallest degree whose pencil has k free values
-    degrees = _degree_ladder(L, math.isqrt(k)) if L_op is None else [L_op]
-    grid = _guard_grid(max(top, L))
+    grid = _guard_grid(L)
     cache = build_geometry(surface, model, grid)
     wj = grid.weights * cache.J
     gi = cache.ginv_ind
@@ -426,16 +421,14 @@ def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
         ("dph", "dth", wj * gi[:, 0, 1]), ("dph", "dph", wj * gi[:, 1, 1]),
         ("val", "val", -wj * pot)]
     previous, error = None, 0.0
-    for degree in degrees:
-        v = analyze(cache.J, grid, degree)
-        v[0] += math.copysign(float(np.linalg.norm(v)), v[0])
-        v /= np.linalg.norm(v)
-        Qc = _deflate(galerkin(grid, degree, q_terms), v)
-        Mc = _deflate(galerkin(grid, degree, [("val", "val", wj)]), v)
-        floor = (Qc.shape[0] * np.finfo(float).eps
-                 * float(np.max(np.abs(np.diagonal(Qc))))
-                 / float(np.min(np.diagonal(Mc))))
-        evals = _pencil_eigenvalues(Qc, Mc, k)
+    # isqrt(k) is the smallest degree whose pencil has k free values
+    for degree in _degree_ladder(L, math.isqrt(k)):
+        Q = galerkin(grid, degree, q_terms)
+        M = galerkin(grid, degree, [("val", "val", wj)])
+        floor = (((degree + 1) ** 2 - 1) * np.finfo(float).eps
+                 * float(np.max(np.abs(np.diagonal(Q))))
+                 / float(np.min(np.diagonal(M))))
+        evals = _pencil_eigenvalues(Q, M, k)
         if previous is not None:
             error = float(np.max(np.abs(evals - previous)))
             if error <= max(SPECTRUM_RTOL * float(np.max(np.abs(evals))),
@@ -445,41 +438,30 @@ def _constrained_spectrum(surface: SphereGraph, model: mt.MetricModel, k: int,
     return evals, error
 
 
-def _deflate(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """P A P without row and column 0, for the reflector P = I - 2 v v^T of
-    a unit v and a symmetric A: the rank-two update A - 2 (v w^T + w v^T)
-    with w = A v - (v^T A v) v.  Two n x n arrays are made (the outer product
-    and the result); the result is symmetric up to rounding.
-    ``np.linalg.cholesky`` reads only the lower triangle of the deflated mass
-    matrix; the deflated Q enters the congruence C^-1 Q C^-T whole, and
-    ``np.linalg.eigvalsh`` reads only the lower triangle of that congruence
-    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 8.7)."""
-    w = A @ v
-    w -= (v @ w) * v
-    vw = np.outer(-2.0 * v[1:], w[1:])
-    B = A[1:, 1:] + vw
-    B += vw.T
-    return B
-
-
 def _pencil_eigenvalues(Q: np.ndarray, M: np.ndarray, k: int) -> np.ndarray:
-    """k smallest eigenvalues of the symmetric-definite pencil (Q, M), by a
-    Cholesky congruence: with M = C C^T, C^-1 Q C^-T is symmetric with the
-    pencil's eigenvalues (Golub & Van Loan, Matrix Computations, 4th ed.,
-    sec. 8.7.1; LAPACK's sygv route).  ``np.linalg.cholesky`` reads only the
-    lower triangle of M and ``np.linalg.eigvalsh`` only that of the
+    """k smallest eigenvalues of the symmetric-definite pencil (Q, M) on the
+    M-orthogonal complement of basis vector 0, by a Cholesky congruence.
+
+    With M = C C^T (numpy's lower Cholesky factor, which does not pivot) and
+    y = C^T c, the Rayleigh quotient c^T Q c / c^T M c is y^T C^-1 Q C^-T y /
+    y^T y, and M_0j c_j = C_00 y_0 because row 0 of C is C_00 e_0.  So the
+    constraint M[0] c = 0 reads y_0 = 0, and the constrained pencil's
+    eigenvalues are those of Ci Q Ci^T with Ci the rows 1: of C^-1 (Golub &
+    Van Loan, Matrix Computations, 4th ed., sec. 8.7.1; LAPACK's sygv
+    route); its eigenvectors are c = Ci^T z.  ``np.linalg.cholesky`` reads
+    only the lower triangle of M and ``np.linalg.eigvalsh`` only that of the
     congruence; an M that is not positive definite raises
     ``np.linalg.LinAlgError``."""
-    Ci = np.linalg.inv(np.linalg.cholesky(M))
+    Ci = np.linalg.inv(np.linalg.cholesky(M))[1:]
     return np.linalg.eigvalsh(Ci @ Q @ Ci.T)[:k]
 
 
-def stability_spectrum(report: SolveReport, model: mt.MetricModel, k: int = 8,
-                       L_op: int | None = None) -> np.ndarray:
+def stability_spectrum(report: SolveReport, model: mt.MetricModel,
+                       k: int = 8) -> np.ndarray:
     """Ascending volume-constrained Jacobi eigenvalues of a converged solve."""
     if not report.converged:
         raise PreconditionError("stability spectrum requires a converged solve")
-    return _constrained_spectrum(report.surface, model, k, L_op=L_op)[0]
+    return _constrained_spectrum(report.surface, model, k)[0]
 
 
 def round_mean_curvature(model: mt.MetricModel, r: float) -> float:
@@ -567,9 +549,6 @@ def trace_foliation(model: mt.MetricModel, H_start: float, H_end: float,
         )
     if n_leaves < 1:
         raise PreconditionError(f"n_leaves must be >= 1; got {n_leaves!r}")
-    opts = opts or CmcOptions()
-    if not opts.check_stability:
-        opts = CmcOptions(**{**opts.__dict__, "check_stability": True})
     targets = np.geomspace(H_start, H_end, n_leaves)
     trace = FoliationTrace(leaves=[], metric=model)
     try:

@@ -249,7 +249,7 @@ def test_criterion_09_comparison_orders(grid32):
 def test_criterion_10_stability_spectra(schwarzschild_traces):
     model = mt.euclidean_model()
     report = solve_cmc(SphereGraph.round_sphere(2.0, L=8), model, 1.0)
-    vals = stability_spectrum(report, model, k=24, L_op=6)
+    vals = stability_spectrum(report, model, k=24)
     expected = np.repeat([(l * (l + 1) - 2) / 4.0 for l in (1, 2, 3, 4)],
                          [3, 5, 7, 9])
     euclid_err = float(np.max(np.abs(vals - expected)))

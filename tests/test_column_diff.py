@@ -49,3 +49,32 @@ def test_mismatched_files_are_named_and_fail(tmp_path):
                          f"only.csv: only in {a}",
                          "rows.csv: 2 rows against 1"]
     assert run_tool(a)[0] == 2
+
+
+def test_json_leaves_are_flattened_into_columns(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, "f.json", '{"leaves": [{"x": 1.0, "ok": true}, {"x": 2.0, '
+                       '"ok": true}], "checks": [{"name": "p", "value": 0.0},'
+                       ' {"name": "q", "value": NaN}]}')
+    write(b, "f.json", '{"leaves": [{"x": 1.0, "ok": false}, {"x": 2.5, '
+                       '"ok": true}], "checks": [{"name": "p", "value": 0.1},'
+                       ' {"name": "q", "value": NaN}]}')
+    code, lines = run_tool(a, b)
+    assert code == 0
+    assert lines[2:] == [
+        "| f.json | leaves[].x | 1 | 0.5 | 0.25 |",
+        "| f.json | leaves[].ok | 1 | - | - |",
+        "| f.json | checks[p].name | 0 | - | - |",
+        "| f.json | checks[p].value | 1 | 0.1 | inf |",
+        "| f.json | checks[q].name | 0 | - | - |",
+        "| f.json | checks[q].value | 0 | - | - |",  # NaN == NaN
+    ]
+
+
+def test_json_files_with_different_paths_are_named(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, "f.json", '{"leaves": [{"x": 1.0}, {"x": 2.0}]}')
+    write(b, "f.json", '{"leaves": [{"x": 1.0}]}')
+    code, lines = run_tool(a, b)
+    assert code == 1
+    assert lines[2:] == ["f.json: paths differ (1), first leaves[1].x"]

@@ -26,12 +26,11 @@ def test_cmclab_loads_no_scipy():
         import json, sys
         import cmclab, cmclab.harness, cmclab.harness.cli
         from cmclab import metrics as mt
-        from cmclab.solver import CmcOptions, round_mean_curvature, solve_cmc
+        from cmclab.solver import round_mean_curvature, solve_cmc
         from cmclab.sphere import SphereGraph
         model = mt.schwarzschild_model(1.0)
         report = solve_cmc(SphereGraph.round_sphere(8.0, L=8), model,
-                           round_mean_curvature(model, 8.0),
-                           CmcOptions(check_stability=True))
+                           round_mean_curvature(model, 8.0))
         print(json.dumps({
             "stable": report.converged and report.stable,
             "scipy": sorted(name for name in sys.modules

@@ -1,23 +1,31 @@
-"""Per-column differences between the CSV outputs of two runs.
+"""Per-column differences between the CSV and JSON outputs of two runs.
 
     python tools/column_diff.py DIR_A DIR_B
 
-For every CSV file that both directories hold (matched by name), prints one
-Markdown table row per column: the number of cells that differ, and over the
-cells that parse as floats on both sides the largest absolute change
-|b - a| and the largest relative change |b - a| / |a|.  Cells that are equal
-as strings are unchanged, so ``nan`` against ``nan`` is no change; a changed
-non-numeric cell (a flag, a label) counts as changed and adds no magnitude.
-A change away from 0 has relative change ``inf``.
+For every CSV or JSON file that both directories hold (matched by name),
+prints one Markdown table row per column: the number of cells that differ,
+and over the cells that parse as floats on both sides the largest absolute
+change |b - a| and the largest relative change |b - a| / |a|.  Cells that
+are equal as strings are unchanged, so ``nan`` against ``nan`` is no change;
+a changed non-numeric cell (a flag, a label) counts as changed and adds no
+magnitude.  A change away from 0 has relative change ``inf``.
 
-A file that only one directory holds, or whose header or row count differs
-between the two, is named on its own line instead.  Exit status 0 when every
-file could be compared, 1 otherwise, 2 on a usage error.
+A JSON file's cells are its scalar leaves, each written as JSON, at paths
+such as ``leaves[3].stability_error``.  Its columns are those paths with
+every list index written ``[]`` (``leaves[].stability_error``), except in a
+list of objects that each carry a distinct string ``name``: there the name
+stands in for the index in the path and in the column, so each of verify's
+checks is a column of its own (``checks[parseval].value``).
+
+A file that only one directory holds, or whose header, row count or JSON
+paths differ between the two, is named on its own line instead.  Exit
+status 0 when every file could be compared, 1 otherwise, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import sys
@@ -36,6 +44,25 @@ def _float(cell: str) -> float | None:
         return None
 
 
+def _entry(column: str, pairs) -> dict:
+    """The table entry of one column from its (a, b) cell strings."""
+    changed = 0
+    max_abs = max_rel = None
+    for a, b in pairs:
+        if a == b:
+            continue
+        changed += 1
+        x, y = _float(a), _float(b)
+        if x is None or y is None:
+            continue
+        change = abs(y - x)
+        rel = change / abs(x) if x != 0.0 else math.inf
+        max_abs = change if max_abs is None else max(max_abs, change)
+        max_rel = rel if max_rel is None else max(max_rel, rel)
+    return {"column": column, "changed": changed, "max_abs": max_abs,
+            "max_rel": max_rel}
+
+
 def diff_csv(path_a: str, path_b: str) -> list[dict]:
     """One entry per column: ``column``, ``changed``, ``max_abs``, ``max_rel``
     (the two maxima are None when no numeric cell changed).  Raises
@@ -46,25 +73,49 @@ def diff_csv(path_a: str, path_b: str) -> list[dict]:
         raise ValueError("headers differ")
     if len(rows_a) != len(rows_b):
         raise ValueError(f"{len(rows_a)} rows against {len(rows_b)}")
-    out = []
-    for j, column in enumerate(head_a):
-        changed = 0
-        max_abs = max_rel = None
-        for row_a, row_b in zip(rows_a, rows_b):
-            a, b = row_a[j], row_b[j]
-            if a == b:
-                continue
-            changed += 1
-            x, y = _float(a), _float(b)
-            if x is None or y is None:
-                continue
-            change = abs(y - x)
-            rel = change / abs(x) if x != 0.0 else math.inf
-            max_abs = change if max_abs is None else max(max_abs, change)
-            max_rel = rel if max_rel is None else max(max_rel, rel)
-        out.append({"column": column, "changed": changed, "max_abs": max_abs,
-                    "max_rel": max_rel})
-    return out
+    return [_entry(column, [(row_a[j], row_b[j])
+                            for row_a, row_b in zip(rows_a, rows_b)])
+            for j, column in enumerate(head_a)]
+
+
+def _leaves(node, path: str = "", column: str = ""):
+    """(path, column, value) of every scalar of a parsed JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            dot = "." if path else ""
+            yield from _leaves(value, f"{path}{dot}{key}",
+                               f"{column}{dot}{key}")
+    elif isinstance(node, list):
+        names = [v.get("name") if isinstance(v, dict) else None for v in node]
+        named = (all(isinstance(n, str) for n in names)
+                 and len(set(names)) == len(names))
+        for i, value in enumerate(node):
+            tag = f"[{names[i]}]" if named else f"[{i}]"
+            yield from _leaves(value, path + tag,
+                               column + (tag if named else "[]"))
+    else:
+        yield path, column, node
+
+
+def _cells(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        document = json.load(fh)
+    return {p: (column, json.dumps(value))
+            for p, column, value in _leaves(document)}
+
+
+def diff_json(path_a: str, path_b: str) -> list[dict]:
+    """``diff_csv``'s entries for two JSON files, one per column of
+    ``_leaves``, in the order of their first leaf in ``path_a``.  Raises
+    ValueError when the two files do not hold the same paths."""
+    cells_a, cells_b = _cells(path_a), _cells(path_b)
+    if cells_a.keys() != cells_b.keys():
+        odd = sorted(cells_a.keys() ^ cells_b.keys())
+        raise ValueError(f"paths differ ({len(odd)}), first {odd[0]}")
+    columns: dict[str, list] = {}
+    for p, (column, a) in cells_a.items():
+        columns.setdefault(column, []).append((a, cells_b[p][1]))
+    return [_entry(column, pairs) for column, pairs in columns.items()]
 
 
 def _fmt(value: float | None) -> str:
@@ -76,8 +127,9 @@ def main(argv: list[str]) -> int:
         print("usage: column_diff.py DIR_A DIR_B", file=sys.stderr)
         return 2
     dir_a, dir_b = argv
-    names_a = {n for n in os.listdir(dir_a) if n.endswith(".csv")}
-    names_b = {n for n in os.listdir(dir_b) if n.endswith(".csv")}
+    diffs = {".csv": diff_csv, ".json": diff_json}
+    names_a = {n for n in os.listdir(dir_a) if os.path.splitext(n)[1] in diffs}
+    names_b = {n for n in os.listdir(dir_b) if os.path.splitext(n)[1] in diffs}
     status = 0
     print("| file | column | changed cells | max abs change | max rel change |")
     print("| --- | --- | --- | --- | --- |")
@@ -89,8 +141,8 @@ def main(argv: list[str]) -> int:
             status = 1
             continue
         try:
-            entries = diff_csv(os.path.join(dir_a, name),
-                               os.path.join(dir_b, name))
+            entries = diffs[os.path.splitext(name)[1]](
+                os.path.join(dir_a, name), os.path.join(dir_b, name))
         except ValueError as exc:
             notes.append(f"{name}: {exc}")
             status = 1
